@@ -11,7 +11,6 @@ from .beamformers import (
     JidfDesign,
     KaPrior,
     RankReduction,
-    beamform_output,
     evd_basis,
     jidf_design,
     jio_design,
@@ -39,10 +38,8 @@ from .scene import (
     CovarianceSet,
     JammerSpec,
     RadarConfig,
-    Snapshot,
     TargetSpec,
     clutter_covariance,
-    draw_snapshot,
     jammer_covariance,
     sample_covariance,
     target_steering,
@@ -64,11 +61,8 @@ __all__ = [
     "NumericalError",
     "RadarConfig",
     "RankReduction",
-    "Snapshot",
     "TargetSpec",
-    "beamform_output",
     "clutter_covariance",
-    "draw_snapshot",
     "evd_basis",
     "jammer_covariance",
     "jidf_design",

@@ -41,7 +41,6 @@ __all__ = [
     "sa_mvdr_weights",
     "ka_prior",
     "ka_mvdr_weights",
-    "beamform_output",
 ]
 
 
@@ -67,10 +66,6 @@ class RankReduction:
     @property
     def rank(self) -> int:
         return self.s_d_matrix.shape[1]
-
-
-def _as_weight_vector(w) -> np.ndarray:
-    return np.asarray(getattr(w, "w", w), dtype=complex)
 
 
 def mvdr_weights(r, s) -> BeamformerWeights:
@@ -118,21 +113,21 @@ def evd_basis(r, s, rank: int, selection: str = "pc") -> RankReduction:
     per-eigenvector contribution to output SINR, and keeps the best ``rank``.
     """
     s = np.asarray(s, dtype=complex)
-    pairs = linalg.hermitian_evd(r)
-    m = len(pairs)
+    values, vectors = linalg.hermitian_evd(r)
+    m = values.size
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
     if selection == "pc":
-        chosen = pairs[:rank]
+        chosen = range(rank)
     elif selection == "csm":
-        top = max(abs(p.value) for p in pairs)
-        floor = 1e-15 * max(top, 1.0)
-        metric = [abs(p.vector.conj() @ s) ** 2 / max(p.value, floor) for p in pairs]
-        order = sorted(range(m), key=lambda i: -metric[i])
-        chosen = [pairs[i] for i in order[:rank]]
+        floor = 1e-15 * max(float(np.abs(values).max()), 1.0)
+        # one dot product per eigenvector: a single vectorized V^H s rounds
+        # differently, which can reorder near-tied metrics
+        metric = [abs(vectors[:, i].conj() @ s) ** 2 / max(values[i], floor) for i in range(m)]
+        chosen = sorted(range(m), key=lambda i: -metric[i])[:rank]
     else:
         raise ValueError(f"unknown eigenvector selection {selection!r}")
-    return RankReduction(np.column_stack([p.vector for p in chosen]), f"evd-{selection}")
+    return RankReduction(np.column_stack([vectors[:, i] for i in chosen]), f"evd-{selection}")
 
 
 def krylov_basis(r, s, rank: int) -> RankReduction:
@@ -317,24 +312,18 @@ def jidf_design(
     normalization of the alternation.
 
     Args:
-        snapshots: (M, K) design block (columns are target-free snapshots),
-            or a sequence of snapshots/vectors.
+        snapshots: (M, K) design block (columns are target-free snapshots).
         s: unit-energy steering vector.
         branches: number of decimation offsets tried.
         interp_len: interpolator length I.
         rank: reduced dimension D.
         iterations: alternations of the weight/interpolator updates.
     """
-    if isinstance(snapshots, np.ndarray):
-        block = np.asarray(snapshots, dtype=complex)
-        if block.ndim == 1:
-            block = block[:, None]
-    else:
-        block = np.column_stack([np.asarray(getattr(x, "vector", x), dtype=complex) for x in snapshots])
+    block = np.asarray(snapshots, dtype=complex)
     s = np.asarray(s, dtype=complex)
     m = s.size
-    if block.shape[0] != m:
-        raise ValueError(f"snapshot length {block.shape[0]} does not match steering length {m}")
+    if block.ndim != 2 or block.shape[0] != m:
+        raise ValueError(f"snapshot block of shape {block.shape} does not have {m} rows")
     if branches < 1:
         raise ValueError("branches must be >= 1")
     if not 1 <= interp_len <= m:
@@ -518,11 +507,3 @@ def ka_mvdr_weights(
         raise NumericalError("blended direction is orthogonal to the steering vector")
     return BeamformerWeights(direction / denom, "ka-mvdr", hyperparams=hyper)
 
-
-def beamform_output(w, snapshot) -> complex:
-    """Scalar beamformer output w^H r."""
-    weight = _as_weight_vector(w)
-    vec = np.asarray(getattr(snapshot, "vector", snapshot), dtype=complex)
-    if weight.shape != vec.shape:
-        raise ValueError(f"weight length {weight.shape} does not match snapshot {vec.shape}")
-    return complex(weight.conj() @ vec)

@@ -37,28 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _algorithm_params(spec: ExperimentSpec) -> evaluation.AlgorithmParams:
-    return evaluation.AlgorithmParams(
-        rank=spec.rank,
-        branches=spec.branches,
-        interp_len=spec.interp_len,
-        iterations=spec.iterations,
-        evd_selection=spec.evd_selection,
-        evd_rank=spec.evd_rank,
-        krylov_rank=spec.krylov_rank,
-        sa_penalty=spec.sa_penalty,
-        sa_epsilon=spec.sa_epsilon,
-        ka_mode=spec.ka_mode,
-        ka_alpha=spec.ka_alpha,
-        ka_eta=spec.ka_eta,
-        prior_velocity_fraction=spec.prior_velocity_fraction,
-        prior_cnr_offset_db=spec.prior_cnr_offset_db,
-    )
-
-
 def run_experiment(cfg, target, spec: ExperimentSpec):
     """Dispatch one experiment; returns its ExperimentResult."""
-    params = _algorithm_params(spec)
     seed = spec.seed if spec.seed is not None else cfg.master_seed
     if spec.kind == "complexity":
         algorithms = [a for a in spec.algorithms if a != "optimal"]
@@ -70,18 +50,18 @@ def run_experiment(cfg, target, spec: ExperimentSpec):
         return evaluation.run_sinr_vs_snapshots(
             cfg, spec.algorithms, spec.k_max, spec.runs, seed,
             k_grid=spec.k_grid, target=target, loading=spec.loading,
-            params=params, workers=spec.threads,
+            params=spec, workers=spec.threads,
         )
     if spec.kind == "sinr-vs-doppler":
         return evaluation.run_sinr_vs_doppler(
             cfg, spec.algorithms, spec.doppler_grid(), spec.effective_k_train(),
             spec.runs, seed, target=target, loading=spec.loading,
-            params=params, workers=spec.threads,
+            params=spec, workers=spec.threads,
         )
     return evaluation.run_pd_vs_snr(
         cfg, spec.algorithms, spec.snr_grid_db, spec.effective_k_train(),
         spec.trials, spec.pfa, seed, designs=spec.designs, target=target,
-        loading=spec.loading, params=params, workers=spec.threads,
+        loading=spec.loading, params=spec, workers=spec.threads,
     )
 
 
@@ -90,8 +70,8 @@ def write_outputs(result, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     storage.write_csv(out / f"{result.kind}.csv", result.rows())
     for name, points in result.curves.items():
-        rows = [row for row in result.rows() if row[0] == name]
-        storage.write_xy(out / f"{result.kind}_{name}.dat", [r[1] for r in rows], [r[2] for r in rows])
+        xs, ys = [p.x for p in points], [p.value for p in points]
+        storage.write_xy(out / f"{result.kind}_{name}.dat", xs, ys)
 
 
 def print_summary(result, stream=None) -> None:
@@ -99,15 +79,8 @@ def print_summary(result, stream=None) -> None:
     print(f"experiment: {result.kind}", file=stream)
     print(f"{'algorithm':<12} {'final ' + result.metric_label:>18} {'failures':>9}", file=stream)
     for name, points in result.curves.items():
-        last = points[-1]
-        if hasattr(last, "sinr_db"):
-            final = last.sinr_db
-        elif hasattr(last, "pd"):
-            final = last.pd
-        else:
-            final = last.multiplications
         fails = result.failures.get(name, 0)
-        print(f"{name:<12} {final:>18.6g} {fails:>9}", file=stream)
+        print(f"{name:<12} {points[-1].value:>18.6g} {fails:>9}", file=stream)
 
 
 def main(argv=None) -> int:

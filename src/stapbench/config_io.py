@@ -9,23 +9,14 @@ line numbers.
 """
 
 from dataclasses import dataclass, fields
+from typing import get_args, get_origin
 
 from . import scene
+from .evaluation import ALGORITHMS, AlgorithmParams
 
 __all__ = ["ConfigError", "ExperimentSpec", "parse_config", "parse_config_text", "serialize_config"]
 
 EXPERIMENT_KINDS = ("sinr-vs-snapshots", "sinr-vs-doppler", "pd-vs-snr", "complexity")
-
-DEFAULT_ALGORITHMS = (
-    "optimal",
-    "smi",
-    "lr-evd",
-    "lr-krylov",
-    "lr-jio",
-    "lr-jidf",
-    "sa-mvdr",
-    "ka-mvdr",
-)
 
 
 class ConfigError(ValueError):
@@ -33,38 +24,25 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Which experiment to run and with what protocol parameters."""
+class ExperimentSpec(AlgorithmParams):
+    """Which experiment to run, with what protocol parameters and, through
+    :class:`AlgorithmParams`, with what design hyperparameters."""
 
     kind: str = "sinr-vs-snapshots"
-    algorithms: tuple = DEFAULT_ALGORITHMS
+    algorithms: tuple[str, ...] = ALGORITHMS
     runs: int = 10
     trials: int = 100000
     designs: int = 20
     k_max: int = 800
-    k_grid: tuple | None = None
+    k_grid: tuple[int, ...] | None = None
     k_train: int | None = None  # None -> per-kind default (100 doppler, 200 pd)
-    snr_grid_db: tuple = tuple(float(v) for v in range(-6, 13))
+    snr_grid_db: tuple[float, ...] = tuple(float(v) for v in range(-6, 13))
     doppler_min_hz: float = -100.0
     doppler_max_hz: float = 100.0
     doppler_step_hz: float = 5.0
     pfa: float = 1e-3
     loading: float = 0.01
-    rank: int = 6
-    branches: int = 8
-    interp_len: int = 8
-    iterations: int = 5
-    evd_selection: str = "csm"
-    evd_rank: int | None = None
-    krylov_rank: int | None = None
-    sa_penalty: float | None = None
-    sa_epsilon: float = 0.1
-    ka_mode: str = "optimal_eta"
-    ka_alpha: float = 0.5
-    ka_eta: float = 0.5
-    prior_velocity_fraction: float = 0.05
-    prior_cnr_offset_db: float = -3.0
-    m_grid: tuple = (32, 64, 128, 256)
+    m_grid: tuple[int, ...] = (32, 64, 128, 256)
     seed: int | None = None  # None -> scene master_seed
     out_dir: str = "."
     failure_budget: float = 0.01
@@ -75,10 +53,17 @@ class ExperimentSpec:
             raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
+        for name in self.algorithms:
+            if name not in ALGORITHMS:
+                raise ConfigError(f"unknown algorithm {name!r} in algorithms list")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.trials < 1 or self.designs < 1:
             raise ConfigError("trials and designs must be >= 1")
+        if self.k_grid is not None and any(k < 1 for k in self.k_grid):
+            raise ConfigError(f"k_grid entries must be >= 1, got {self.k_grid}")
+        if self.k_train is not None and self.k_train < 1:
+            raise ConfigError(f"k_train must be >= 1, got {self.k_train}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be nonempty")
         if not self.m_grid:
@@ -87,6 +72,10 @@ class ExperimentSpec:
             raise ConfigError("doppler_step_hz must be positive")
         if not 0.0 < self.pfa <= 1.0:
             raise ConfigError(f"pfa must be in (0, 1], got {self.pfa}")
+        if not self.loading >= 0.0:
+            raise ConfigError(f"loading must be >= 0, got {self.loading}")
+        if not 0.0 <= self.failure_budget <= 1.0:
+            raise ConfigError(f"failure_budget must be in [0, 1], got {self.failure_budget}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
@@ -103,66 +92,51 @@ class ExperimentSpec:
         return 200 if self.kind == "pd-vs-snr" else 100
 
 
-def _parse_bool_none(raw: str):
-    return None if raw.lower() in ("none", "auto") else raw
-
-
-def _to_int(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"line {line}: {key} expects an integer, got {raw!r}") from None
-
-
-def _to_float(raw: str, key: str, line: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {line}: {key} expects a number, got {raw!r}") from None
-
-
-_SCENE_INT = {"num_sensors", "num_pulses", "clutter_patches", "range_ambiguities", "master_seed"}
-_SCENE_FLOAT = {
-    "carrier_frequency_hz",
-    "prf_hz",
-    "platform_velocity_mps",
-    "platform_height_m",
-    "noise_power",
+# section -> {key: type annotation of the dataclass field it sets}
+_SECTION_KEYS = {
+    None: {f.name: f.type for f in fields(scene.RadarConfig) if f.name != "jammers"},
+    "jammer": {f.name: f.type for f in fields(scene.JammerSpec)},
+    "target": {f.name: f.type for f in fields(scene.TargetSpec)},
+    "experiment": {f.name: f.type for f in fields(ExperimentSpec)},
 }
-_SCENE_OPT_FLOAT = {"element_spacing_m", "cnr_db"}
 
-_EXP_INT = {"runs", "trials", "designs", "k_max", "branches", "interp_len", "iterations",
-            "rank", "threads"}
-_EXP_OPT_INT = {"k_train", "evd_rank", "krylov_rank", "seed"}
-_EXP_FLOAT = {"doppler_min_hz", "doppler_max_hz", "doppler_step_hz", "pfa", "loading",
-              "sa_epsilon", "ka_alpha", "ka_eta", "prior_velocity_fraction",
-              "prior_cnr_offset_db", "failure_budget"}
-_EXP_OPT_FLOAT = {"sa_penalty"}
-_EXP_STR = {"kind", "evd_selection", "ka_mode", "out_dir"}
-_EXP_LISTS = {"algorithms", "snr_grid_db", "k_grid", "m_grid"}
 
-_JAMMER_KEYS = {"azimuth_deg", "jnr_db"}
-_TARGET_KEYS = {"azimuth_deg", "doppler_hz", "snr_db"}
+def _parse_value(annotation, raw: str, key: str, line: int):
+    """Convert ``raw`` as the field annotation says: int, float or str, an
+    optional one ('none' or 'auto' for None), or a comma-separated tuple."""
+    options = get_args(annotation)
+    if type(None) in options:
+        if raw.lower() in ("none", "auto"):
+            return None
+        annotation = next(a for a in options if a is not type(None))
+    if get_origin(annotation) is tuple:
+        item = get_args(annotation)[0]
+        parts = [part.strip() for part in raw.split(",")]
+        return tuple(_parse_value(item, part, key, line) for part in parts if part)
+    try:
+        return annotation(raw)
+    except ValueError:
+        expected = "an integer" if annotation is int else "a number"
+        raise ConfigError(f"line {line}: {key} expects {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str):
-    """Parse configuration text into (RadarConfig, ExperimentSpec)."""
-    scene_kw: dict = {}
-    exp_kw: dict = {}
+    """Parse configuration text into (RadarConfig, TargetSpec, ExperimentSpec)."""
+    values: dict = {section: {} for section in _SECTION_KEYS}
     jammers: list = []
-    target_kw: dict = {}
     jammers_cleared = False
     section = None
-    current_jammer: dict = {}
 
     def flush_jammer(line_no):
-        nonlocal current_jammer
         if section == "jammer":
-            missing = _JAMMER_KEYS - current_jammer.keys()
+            missing = _SECTION_KEYS["jammer"].keys() - values["jammer"].keys()
             if missing:
                 raise ConfigError(f"line {line_no}: [jammer] section missing {sorted(missing)}")
-            jammers.append(scene.JammerSpec(**current_jammer))
-            current_jammer = {}
+            try:
+                jammers.append(scene.JammerSpec(**values["jammer"]))
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from exc
+            values["jammer"] = {}
 
     lines = text.splitlines()
     for line_no, raw_line in enumerate(lines, start=1):
@@ -174,7 +148,7 @@ def parse_config_text(text: str):
                 raise ConfigError(f"line {line_no}: malformed section header {line!r}")
             flush_jammer(line_no)
             name = line[1:-1].strip().lower()
-            if name not in ("jammer", "target", "experiment"):
+            if name not in _SECTION_KEYS:
                 raise ConfigError(f"line {line_no}: unknown section [{name}]")
             section = name
             continue
@@ -182,73 +156,30 @@ def parse_config_text(text: str):
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if section is None:
-            if key in _SCENE_INT:
-                scene_kw[key] = _to_int(raw, key, line_no)
-            elif key in _SCENE_FLOAT:
-                scene_kw[key] = _to_float(raw, key, line_no)
-            elif key in _SCENE_OPT_FLOAT:
-                value = _parse_bool_none(raw)
-                scene_kw[key] = None if value is None else _to_float(raw, key, line_no)
-            elif key == "jammers":
-                if raw.lower() != "none":
-                    raise ConfigError(
-                        f"line {line_no}: jammers accepts only 'none'; use [jammer] sections"
-                    )
-                jammers_cleared = True
-            else:
-                raise ConfigError(f"line {line_no}: unknown scene key {key!r}")
-        elif section == "jammer":
-            if key not in _JAMMER_KEYS:
-                raise ConfigError(f"line {line_no}: unknown jammer key {key!r}")
-            current_jammer[key] = _to_float(raw, key, line_no)
-        elif section == "target":
-            if key not in _TARGET_KEYS:
-                raise ConfigError(f"line {line_no}: unknown target key {key!r}")
-            target_kw[key] = _to_float(raw, key, line_no)
-        else:  # experiment
-            if key in _EXP_INT:
-                exp_kw[key] = _to_int(raw, key, line_no)
-            elif key in _EXP_OPT_INT:
-                value = _parse_bool_none(raw)
-                exp_kw[key] = None if value is None else _to_int(raw, key, line_no)
-            elif key in _EXP_FLOAT:
-                exp_kw[key] = _to_float(raw, key, line_no)
-            elif key in _EXP_OPT_FLOAT:
-                value = _parse_bool_none(raw)
-                exp_kw[key] = None if value is None else _to_float(raw, key, line_no)
-            elif key in _EXP_STR:
-                exp_kw[key] = raw
-            elif key in _EXP_LISTS:
-                if key == "k_grid" and raw.lower() == "none":
-                    exp_kw[key] = None
-                    continue
-                items = [part.strip() for part in raw.split(",") if part.strip()]
-                if key == "algorithms":
-                    exp_kw[key] = tuple(items)
-                elif key == "snr_grid_db":
-                    exp_kw[key] = tuple(_to_float(v, key, line_no) for v in items)
-                else:
-                    exp_kw[key] = tuple(_to_int(v, key, line_no) for v in items)
-            else:
-                raise ConfigError(f"line {line_no}: unknown experiment key {key!r}")
+        if section is None and key == "jammers":
+            if raw.lower() != "none":
+                raise ConfigError(f"line {line_no}: jammers accepts only 'none'; use [jammer] sections")
+            jammers_cleared = True
+            continue
+        annotation = _SECTION_KEYS[section].get(key)
+        if annotation is None:
+            raise ConfigError(f"line {line_no}: unknown {section or 'scene'} key {key!r}")
+        values[section][key] = _parse_value(annotation, raw, key, line_no)
     flush_jammer(len(lines))
 
     if jammers or jammers_cleared:
-        scene_kw["jammers"] = tuple(jammers)
+        values[None]["jammers"] = tuple(jammers)
     try:
-        cfg = scene.RadarConfig(**scene_kw)
+        cfg = scene.RadarConfig(**values[None])
+        target = scene.TargetSpec(**values["target"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if target_kw:
-        cfg_target = scene.TargetSpec(**target_kw)
-    else:
-        cfg_target = scene.TargetSpec()
-    spec = ExperimentSpec(**exp_kw)
-    for name in spec.algorithms:
-        if name not in DEFAULT_ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {name!r} in algorithms list")
-    return cfg, cfg_target, spec
+    spec = ExperimentSpec(**values["experiment"])
+    for key in ("evd_rank", "krylov_rank"):
+        rank = getattr(spec, key)
+        if rank is not None and not 1 <= rank <= cfg.size:
+            raise ConfigError(f"{key} must be in [1, M={cfg.size}], got {rank}")
+    return cfg, target, spec
 
 
 def parse_config(path):
@@ -264,39 +195,21 @@ def parse_config(path):
 def _fmt_value(value) -> str:
     if value is None:
         return "none"
+    if isinstance(value, tuple):
+        return ", ".join(_fmt_value(v) for v in value)
     if isinstance(value, float):
         return format(value, ".17g")  # lossless float round-trip
     return str(value)
 
 
+def _key_lines(obj) -> list:
+    return [f"{f.name} = {_fmt_value(getattr(obj, f.name))}" for f in fields(obj) if f.name != "jammers"]
+
+
 def serialize_config(cfg: scene.RadarConfig, target: scene.TargetSpec, spec: ExperimentSpec) -> str:
     """Render a configuration that parses back to identical structures."""
-    out = []
-    for f in fields(scene.RadarConfig):
-        if f.name == "jammers":
-            continue
-        out.append(f"{f.name} = {_fmt_value(getattr(cfg, f.name))}")
-    if cfg.jammers:
-        for jam in cfg.jammers:
-            out.append("")
-            out.append("[jammer]")
-            out.append(f"azimuth_deg = {_fmt_value(jam.azimuth_deg)}")
-            out.append(f"jnr_db = {_fmt_value(jam.jnr_db)}")
-    else:
-        out.insert(0, "jammers = none")
-    out.append("")
-    out.append("[target]")
-    for f in fields(scene.TargetSpec):
-        out.append(f"{f.name} = {_fmt_value(getattr(target, f.name))}")
-    out.append("")
-    out.append("[experiment]")
-    for f in fields(ExperimentSpec):
-        value = getattr(spec, f.name)
-        if f.name in _EXP_LISTS and value is not None:
-            rendered = ", ".join(_fmt_value(v) for v in value)
-            out.append(f"{f.name} = {rendered}")
-        elif f.name == "k_grid" and value is None:
-            out.append("k_grid = none")
-        else:
-            out.append(f"{f.name} = {_fmt_value(value)}")
+    out = ([] if cfg.jammers else ["jammers = none"]) + _key_lines(cfg)
+    sections = [("jammer", jam) for jam in cfg.jammers] + [("target", target), ("experiment", spec)]
+    for name, obj in sections:
+        out += ["", f"[{name}]"] + _key_lines(obj)
     return "\n".join(out) + "\n"

@@ -19,10 +19,7 @@ from . import linalg, scene
 from .linalg import NumericalError
 
 __all__ = [
-    "SinrPoint",
-    "DopplerPoint",
-    "DetectionPoint",
-    "ComplexityPoint",
+    "CurvePoint",
     "ExperimentResult",
     "AlgorithmParams",
     "ALGORITHMS",
@@ -40,34 +37,19 @@ __all__ = [
 
 
 @dataclass
-class SinrPoint:
-    snapshots_used: int
-    sinr_db: float
-    run_count: int
-    std_db: float
+class CurvePoint:
+    """One point of a metric curve: the metric at ``x``, its spread, and how
+    many samples (runs, or detection trials) went into it.
 
+    ``x`` and ``value`` keep the type the runner gives them; integers
+    (snapshot counts, problem sizes, multiplication counts) are written to
+    the CSV as integers.
+    """
 
-@dataclass
-class DopplerPoint:
-    doppler_hz: float
-    sinr_db: float
-    run_count: int
-    std_db: float
-
-
-@dataclass
-class DetectionPoint:
-    snr_db: float
-    pd: float
-    pfa_target: float
-    trials: int
-
-
-@dataclass
-class ComplexityPoint:
-    algorithm: str
-    m: int
-    multiplications: int
+    x: float
+    value: float
+    std: float
+    count: int
 
 
 @dataclass
@@ -85,15 +67,7 @@ class ExperimentResult:
         """Deterministic (algorithm, x, metric, std, runs) rows for CSV export."""
         for name, points in self.curves.items():
             for p in points:
-                if isinstance(p, SinrPoint):
-                    yield (name, p.snapshots_used, p.sinr_db, p.std_db, p.run_count)
-                elif isinstance(p, DopplerPoint):
-                    yield (name, p.doppler_hz, p.sinr_db, p.std_db, p.run_count)
-                elif isinstance(p, DetectionPoint):
-                    se = math.sqrt(max(p.pd * (1.0 - p.pd), 0.0) / p.trials)
-                    yield (name, p.snr_db, p.pd, se, p.trials)
-                else:
-                    yield (name, p.m, p.multiplications, 0.0, 1)
+                yield (name, p.x, p.value, p.std, p.count)
 
 
 def sinr(w, cov, s, xi_t: float) -> float:
@@ -107,7 +81,7 @@ def sinr(w, cov, s, xi_t: float) -> float:
     r = getattr(cov, "r_total", cov)
     s = np.asarray(s, dtype=complex)
     denom = float((weight.conj() @ r @ weight).real)
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise NumericalError(f"output interference power is not positive: {denom:.3e}")
     m = s.size
     return 10.0 * math.log10(xi_t * m * abs(weight.conj() @ s) ** 2 / denom)
@@ -138,62 +112,6 @@ def pd_analytic(sinr_linear: float, pfa: float) -> float:
     if not 0.0 < pfa <= 1.0:
         raise ValueError(f"pfa must be in (0, 1], got {pfa}")
     return pfa ** (1.0 / (1.0 + sinr_linear))
-
-
-ALGORITHMS = (
-    "optimal",
-    "smi",
-    "lr-evd",
-    "lr-krylov",
-    "lr-jio",
-    "lr-jidf",
-    "sa-mvdr",
-    "ka-mvdr",
-)
-
-_SA_PENALTY_GRID = (0.01, 0.1, 1.0, 10.0)
-
-
-def multiplication_count(
-    algorithm: str,
-    m: int,
-    d: int | None = None,
-    b: int | None = None,
-    i_len: int | None = None,
-    k_snapshots: int | None = None,
-    iterations: int = 5,
-) -> int:
-    """Deterministic complex-multiplication count of one design.
-
-    Counting convention (one unit per complex multiply): covariance
-    estimation costs K*M^2; a Hermitian solve/inversion M^3; an
-    eigendecomposition 10*M^3; reduced-rank projections D*M^2 and reduced
-    solves D^3. The branch scheme never forms an M x M covariance, which is
-    where its advantage comes from.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    k = k_snapshots if k_snapshots is not None else m
-    d = d if d is not None else 6
-    b = b if b is not None else 8
-    i_len = i_len if i_len is not None else 8
-    if min(k, d, b, i_len, iterations) < 1:
-        raise ValueError("all complexity parameters must be >= 1")
-    if algorithm in ("smi", "optimal"):
-        return k * m**2 + m**3 + m**2 + m
-    if algorithm == "lr-evd":
-        return k * m**2 + 10 * m**3 + d * m**2 + d**3
-    if algorithm == "lr-krylov":
-        return k * m**2 + d * m**2 + d**2 * m + d**3
-    if algorithm == "lr-jio":
-        return iterations * (m**2 + d * m**2 + d**3)
-    if algorithm == "lr-jidf":
-        return b * iterations * (m * i_len + d * i_len**2 + d**3 + i_len**3)
-    if algorithm == "sa-mvdr":
-        return iterations * (m**3 + m**2)
-    if algorithm == "ka-mvdr":
-        return 2 * m**3 + m**2
-    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 @dataclass(frozen=True)
@@ -244,6 +162,9 @@ class DesignContext:
     prior: bf.KaPrior | None = None
 
 
+_SA_PENALTY_GRID = (0.01, 0.1, 1.0, 10.0)
+
+
 def _select_sa_penalty(ctx: DesignContext, block: np.ndarray) -> float:
     """Split-sample penalty choice: fit on the first half, score output power
     on the second half (lower is better at the fixed unit steering response)."""
@@ -266,65 +187,127 @@ def _select_sa_penalty(ctx: DesignContext, block: np.ndarray) -> float:
     return best_penalty
 
 
-def design_algorithm(name: str, ctx: DesignContext, r_hat, block) -> bf.BeamformerWeights:
-    """Dispatch one algorithm design on a training block and its covariance."""
-    s = ctx.steering
-    p = ctx.params
+# Each design maps (context, estimated covariance, training block) to the
+# weights and the sizes its multiplication count depends on. They reach the
+# beamformers through the ``bf`` module so that a wrapper installed on a
+# ``bf`` function sees every call.
+
+
+def _design_optimal(ctx: DesignContext, r_hat, block):
+    return bf.mvdr_weights(ctx.cov.r_total, ctx.steering), {}
+
+
+def _design_smi(ctx: DesignContext, r_hat, block):
+    return bf.mvdr_weights(r_hat, ctx.steering), {}
+
+
+def _design_lr_evd(ctx: DesignContext, r_hat, block):
+    p, s = ctx.params, ctx.steering
+    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(block.shape[1], s.size)
+    return bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, rank, p.evd_selection), r_hat, s), {"d": rank}
+
+
+def _design_lr_krylov(ctx: DesignContext, r_hat, block):
+    p, s = ctx.params, ctx.steering
+    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(block.shape[1], s.size)
+    return bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, rank), r_hat, s), {"d": rank}
+
+
+def _design_lr_jio(ctx: DesignContext, r_hat, block):
+    p, s = ctx.params, ctx.steering
+    rank = min(p.rank, s.size)
+    return bf.jio_design(r_hat, s, rank, p.iterations)[1], {"d": rank, "iterations": p.iterations}
+
+
+def _design_lr_jidf(ctx: DesignContext, r_hat, block):
+    p, s = ctx.params, ctx.steering
     m = s.size
-    k = block.shape[1] if block is not None else 0
-    if name == "optimal":
-        w = bf.mvdr_weights(ctx.cov.r_total, s)
-        w.algorithm = "optimal"
-        w.multiplication_count = multiplication_count("optimal", m, k_snapshots=k)
-        return w
-    if name == "smi":
-        w = bf.mvdr_weights(r_hat, s)
-        w.algorithm = "smi"
-        w.multiplication_count = multiplication_count("smi", m, k_snapshots=k)
-        return w
-    if name == "lr-evd":
-        rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(k, m)
-        w = bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, rank, p.evd_selection), r_hat, s)
-        w.algorithm = "lr-evd"
-        w.multiplication_count = multiplication_count("lr-evd", m, d=rank, k_snapshots=k)
-        return w
-    if name == "lr-krylov":
-        rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(k, m)
-        w = bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, rank), r_hat, s)
-        w.algorithm = "lr-krylov"
-        w.multiplication_count = multiplication_count("lr-krylov", m, d=rank, k_snapshots=k)
-        return w
-    if name == "lr-jio":
-        rank = min(p.rank, m)
-        _, w = bf.jio_design(r_hat, s, rank, p.iterations)
-        w.multiplication_count = multiplication_count(
-            "lr-jio", m, d=rank, k_snapshots=k, iterations=p.iterations
-        )
-        return w
-    if name == "lr-jidf":
-        rank = min(p.rank, m)
-        interp_len = min(p.interp_len, m)
-        branches = bf.valid_branch_count(m, rank, p.branches)
-        _, w = bf.jidf_design(block, s, branches, interp_len, rank, p.iterations)
-        w.multiplication_count = multiplication_count(
-            "lr-jidf", m, d=rank, b=branches, i_len=interp_len,
-            k_snapshots=k, iterations=p.iterations,
-        )
-        return w
-    if name == "sa-mvdr":
-        penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, block)
-        w = bf.sa_mvdr_weights(r_hat, s, penalty, p.sa_epsilon)
-        w.multiplication_count = multiplication_count("sa-mvdr", m, k_snapshots=k)
-        return w
-    if name == "ka-mvdr":
-        if ctx.prior is None:
-            raise ValueError("knowledge-aided design needs a prior in the context")
-        w = bf.ka_mvdr_weights(
-            r_hat, ctx.prior, s, mode=p.ka_mode, alpha=p.ka_alpha, eta=p.ka_eta
-        )
-        w.multiplication_count = multiplication_count("ka-mvdr", m, k_snapshots=k)
-        return w
-    raise ValueError(f"unknown algorithm {name!r}")
+    rank, interp_len = min(p.rank, m), min(p.interp_len, m)
+    branches = bf.valid_branch_count(m, rank, p.branches)
+    w = bf.jidf_design(block, s, branches, interp_len, rank, p.iterations)[1]
+    return w, {"d": rank, "b": branches, "i_len": interp_len, "iterations": p.iterations}
+
+
+def _design_sa_mvdr(ctx: DesignContext, r_hat, block):
+    p = ctx.params
+    penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, block)
+    return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon), {}
+
+
+def _design_ka_mvdr(ctx: DesignContext, r_hat, block):
+    if ctx.prior is None:
+        raise ValueError("knowledge-aided design needs a prior in the context")
+    p = ctx.params
+    w = bf.ka_mvdr_weights(
+        r_hat, ctx.prior, ctx.steering, mode=p.ka_mode, alpha=p.ka_alpha, eta=p.ka_eta
+    )
+    return w, {}
+
+
+# name -> (design, multiplication count of (m, k, d, b, i_len, iterations))
+_ALGORITHMS = {
+    "optimal": (_design_optimal, lambda m, k, d, b, i, it: k * m**2 + m**3 + m**2 + m),
+    "smi": (_design_smi, lambda m, k, d, b, i, it: k * m**2 + m**3 + m**2 + m),
+    "lr-evd": (_design_lr_evd, lambda m, k, d, b, i, it: k * m**2 + 10 * m**3 + d * m**2 + d**3),
+    "lr-krylov": (_design_lr_krylov, lambda m, k, d, b, i, it: k * m**2 + d * m**2 + d**2 * m + d**3),
+    "lr-jio": (_design_lr_jio, lambda m, k, d, b, i, it: it * (m**2 + d * m**2 + d**3)),
+    "lr-jidf": (_design_lr_jidf, lambda m, k, d, b, i, it: b * it * (m * i + d * i**2 + d**3 + i**3)),
+    "sa-mvdr": (_design_sa_mvdr, lambda m, k, d, b, i, it: it * (m**3 + m**2)),
+    "ka-mvdr": (_design_ka_mvdr, lambda m, k, d, b, i, it: 2 * m**3 + m**2),
+}
+
+ALGORITHMS = tuple(_ALGORITHMS)
+
+
+def _table_entry(name: str):
+    try:
+        return _ALGORITHMS[name]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {name!r}") from None
+
+
+def multiplication_count(
+    algorithm: str,
+    m: int,
+    d: int | None = None,
+    b: int | None = None,
+    i_len: int | None = None,
+    k_snapshots: int | None = None,
+    iterations: int = 5,
+) -> int:
+    """Deterministic complex-multiplication count of one design.
+
+    Counting convention (one unit per complex multiply): covariance
+    estimation costs K*M^2; a Hermitian solve/inversion M^3; an
+    eigendecomposition 10*M^3; reduced-rank projections D*M^2 and reduced
+    solves D^3. The branch scheme never forms an M x M covariance, which is
+    where its advantage comes from.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    k = k_snapshots if k_snapshots is not None else m
+    d = d if d is not None else 6
+    b = b if b is not None else 8
+    i_len = i_len if i_len is not None else 8
+    if min(k, d, b, i_len, iterations) < 1:
+        raise ValueError("all complexity parameters must be >= 1")
+    _, cost = _table_entry(algorithm)
+    return cost(m, k, d, b, i_len, iterations)
+
+
+def design_algorithm(name: str, ctx: DesignContext, r_hat, block) -> bf.BeamformerWeights:
+    """Design one algorithm on an (M, K) training block and its covariance.
+
+    The weights come back tagged with ``name`` and with the design's
+    multiplication count.
+    """
+    design, _ = _table_entry(name)
+    w, sizes = design(ctx, r_hat, block)
+    w.algorithm = name
+    w.multiplication_count = multiplication_count(
+        name, ctx.steering.size, k_snapshots=block.shape[1], **sizes
+    )
+    return w
 
 
 def _make_context(cfg, target, loading, params, algorithms) -> DesignContext:
@@ -344,6 +327,41 @@ def _parallel_map(fn, count: int, workers: int) -> list:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(count)))
+
+
+def _aggregate(kind, x_label, metric_label, algorithms, grid, samples, trials=None) -> ExperimentResult:
+    """Curves from per-run samples of shape (runs, algorithms, grid).
+
+    A non-finite sample marks a failed design: it is counted as a failure and
+    kept out of its point. Without ``trials``, every sample is one design's
+    metric and a point holds the mean and sample standard deviation of its
+    finite samples. With ``trials`` (one count per run), every run is one
+    design scored across the whole grid and its samples are detection counts,
+    so a point holds the pooled detection rate and its binomial standard error.
+    """
+    samples = np.asarray(samples, dtype=float)
+    runs = samples.shape[0]
+    curves, failures, designs = {}, {}, {}
+    for ai, name in enumerate(algorithms):
+        ok = np.isfinite(samples[:, ai, :])
+        points = []
+        for gi, x in enumerate(grid):
+            good = samples[ok[:, gi], ai, gi]
+            if trials is None:
+                n = int(good.size)
+                value = float(good.mean()) if n else float("nan")
+                std = float(good.std(ddof=1)) if n > 1 else 0.0
+            else:
+                n = int(trials[ok[:, gi]].sum())
+                value = float(good.sum()) / n if n else float("nan")
+                std = math.sqrt(max(value * (1.0 - value), 0.0) / n) if n else 0.0
+            points.append(CurvePoint(x, value, std, n))
+        curves[name] = points
+        if trials is None:
+            failures[name], designs[name] = int((~ok).sum()), runs * len(grid)
+        else:
+            failures[name], designs[name] = int((~ok).any(axis=1).sum()), runs
+    return ExperimentResult(kind, x_label, metric_label, curves, failures, designs)
 
 
 def _default_k_grid(k_max: int) -> tuple[int, ...]:
@@ -385,7 +403,6 @@ def run_sinr_vs_snapshots(
         rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
         block = scene.draw_interference_block(ctx.cov, k_max, rng)
         values = np.full((len(algorithms), len(grid)), np.nan)
-        fails = np.zeros(len(algorithms), dtype=int)
         gram = np.zeros((m, m), dtype=complex)
         prev = 0
         for gi, k in enumerate(grid):
@@ -399,29 +416,11 @@ def run_sinr_vs_snapshots(
                     w = design_algorithm(name, ctx, r_hat, block[:, :k])
                     values[ai, gi] = sinr(w, ctx.cov, ctx.steering, ctx.xi_t)
                 except (NumericalError, np.linalg.LinAlgError):
-                    fails[ai] += 1
-        return values, fails
+                    pass  # the NaN left in place counts as a failed design
+        return values
 
-    outputs = _parallel_map(one_run, runs, workers)
-    stacked = np.stack([v for v, _ in outputs])  # (runs, algs, grid)
-    failures = {name: int(sum(f[ai] for _, f in outputs)) for ai, name in enumerate(algorithms)}
-    curves = {}
-    for ai, name in enumerate(algorithms):
-        points = []
-        for gi, k in enumerate(grid):
-            col = stacked[:, ai, gi]
-            good = col[np.isfinite(col)]
-            points.append(
-                SinrPoint(
-                    k,
-                    float(good.mean()) if good.size else float("nan"),
-                    int(good.size),
-                    float(good.std(ddof=1)) if good.size > 1 else 0.0,
-                )
-            )
-        curves[name] = points
-    designs = {name: runs * len(grid) for name in algorithms}
-    return ExperimentResult("sinr-vs-snapshots", "snapshots", "sinr_db", curves, failures, designs)
+    samples = _parallel_map(one_run, runs, workers)
+    return _aggregate("sinr-vs-snapshots", "snapshots", "sinr_db", algorithms, grid, samples)
 
 
 def run_sinr_vs_doppler(
@@ -459,7 +458,6 @@ def run_sinr_vs_doppler(
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
         r_hat = scene.sample_covariance(block, loading)
         values = np.full((len(algorithms), len(grid)), np.nan)
-        fails = np.zeros(len(algorithms), dtype=int)
         for gi, fd in enumerate(grid):
             tgt = replace(base_target, doppler_hz=fd)
             fd_ctx = replace(
@@ -470,29 +468,11 @@ def run_sinr_vs_doppler(
                     w = design_algorithm(name, fd_ctx, r_hat, block)
                     values[ai, gi] = sinr(w, ctx.cov, fd_ctx.steering, fd_ctx.xi_t)
                 except (NumericalError, np.linalg.LinAlgError):
-                    fails[ai] += 1
-        return values, fails
+                    pass  # the NaN left in place counts as a failed design
+        return values
 
-    outputs = _parallel_map(one_run, runs, workers)
-    stacked = np.stack([v for v, _ in outputs])
-    failures = {name: int(sum(f[ai] for _, f in outputs)) for ai, name in enumerate(algorithms)}
-    curves = {}
-    for ai, name in enumerate(algorithms):
-        points = []
-        for gi, fd in enumerate(grid):
-            col = stacked[:, ai, gi]
-            good = col[np.isfinite(col)]
-            points.append(
-                DopplerPoint(
-                    fd,
-                    float(good.mean()) if good.size else float("nan"),
-                    int(good.size),
-                    float(good.std(ddof=1)) if good.size > 1 else 0.0,
-                )
-            )
-        curves[name] = points
-    designs = {name: runs * len(grid) for name in algorithms}
-    return ExperimentResult("sinr-vs-doppler", "doppler_hz", "sinr_db", curves, failures, designs)
+    samples = _parallel_map(one_run, runs, workers)
+    return _aggregate("sinr-vs-doppler", "doppler_hz", "sinr_db", algorithms, grid, samples)
 
 
 def run_pd_vs_snr(
@@ -539,21 +519,15 @@ def run_pd_vs_snr(
         rng = np.random.default_rng(np.random.SeedSequence((seed, didx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
         r_hat = scene.sample_covariance(block, loading)
-        weights, mus, gains, ok = [], [], [], []
-        fails = np.zeros(len(algorithms), dtype=int)
-        for ai, name in enumerate(algorithms):
+        weights, mus, gains = [], [], []
+        for name in algorithms:
             try:
-                w = design_algorithm(name, ctx, r_hat, block)
-                weights.append(w.w)
-                mus.append(float((w.w.conj() @ r_total @ w.w).real))
-                gains.append(complex(w.w.conj() @ s))
-                ok.append(True)
+                w = design_algorithm(name, ctx, r_hat, block).w
             except (NumericalError, np.linalg.LinAlgError):
-                weights.append(np.zeros(m, dtype=complex))
-                mus.append(1.0)
-                gains.append(0.0)
-                ok.append(False)
-                fails[ai] += 1
+                w = np.full(m, np.nan, dtype=complex)
+            weights.append(w)
+            mus.append(float((w.conj() @ r_total @ w).real))
+            gains.append(complex(w.conj() @ s))
         wmat = np.stack(weights)  # (algs, m)
         thresholds = np.asarray(mus) * log_inv_pfa
         detections = np.zeros((len(algorithms), len(grid)), dtype=np.int64)
@@ -569,24 +543,15 @@ def run_pd_vs_snr(
             for gi in range(len(grid)):
                 stat = np.abs(amp[gi] * target_part + g) ** 2
                 detections[:, gi] += (stat > np.asarray(thresholds)[:, None]).sum(axis=1)
-        return detections, np.asarray(ok), fails
+        counts = detections.astype(float)
+        # a design that failed, or whose output power is not finite, is a failure
+        counts[~np.isfinite(mus)] = np.nan
+        return counts
 
-    outputs = _parallel_map(one_design, designs, workers)
-    total_detections = sum(det for det, _, _ in outputs)
-    trials_seen = np.zeros(len(algorithms), dtype=np.int64)
-    for didx, (_, ok, _) in enumerate(outputs):
-        trials_seen += np.where(ok, per_design[didx], 0)
-    failures = {name: int(sum(f[ai] for _, _, f in outputs)) for ai, name in enumerate(algorithms)}
-    curves = {}
-    for ai, name in enumerate(algorithms):
-        n_ok = int(trials_seen[ai])
-        points = []
-        for gi, snr_db in enumerate(grid):
-            pd = float(total_detections[ai, gi]) / n_ok if n_ok else float("nan")
-            points.append(DetectionPoint(snr_db, pd, pfa, max(n_ok, 1)))
-        curves[name] = points
-    designs_per = {name: designs for name in algorithms}
-    return ExperimentResult("pd-vs-snr", "snr_db", "pd", curves, failures, designs_per)
+    samples = _parallel_map(one_design, designs, workers)
+    return _aggregate(
+        "pd-vs-snr", "snr_db", "pd", algorithms, grid, samples, trials=np.asarray(per_design)
+    )
 
 
 def run_complexity_sweep(
@@ -607,7 +572,6 @@ def run_complexity_sweep(
     grid = tuple(int(m) for m in m_grid)
     if not grid:
         raise ValueError("m_grid must be nonempty")
-    algorithms = list(algorithms)
     curves = {}
     for name in algorithms:
         points = []
@@ -617,6 +581,6 @@ def run_complexity_sweep(
                 name, m, d=rank, b=branches, i_len=interp_len,
                 k_snapshots=k, iterations=iterations,
             )
-            points.append(ComplexityPoint(name, m, count))
+            points.append(CurvePoint(m, count, 0.0, 1))
         curves[name] = points
     return ExperimentResult("complexity", "m", "multiplications", curves)

@@ -5,7 +5,7 @@ dense row-major throughout: the dimensions of interest (a few hundred at
 most) never justify sparse formats.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -13,11 +13,9 @@ from scipy.linalg.lapack import zpotrf
 
 __all__ = [
     "NumericalError",
-    "EigenPair",
     "require_hermitian",
     "hermitian_evd",
     "hpd_solve",
-    "kron",
     "hankel_from_vector",
     "covariance_factor",
     "colored_sample",
@@ -34,7 +32,7 @@ class NumericalError(RuntimeError):
 
 
 def require_hermitian(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian within tolerance.
+    """Validate that ``a`` is square, finite and Hermitian within tolerance.
 
     Returns the exactly Hermitian symmetrization (a + a^H)/2 so downstream
     factorizations see a clean input.
@@ -42,6 +40,7 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> 
     Raises:
         ValueError: if ``a`` is not two-dimensional, not square, or deviates
             from Hermitian symmetry by more than ``rtol * max|a|``.
+        NumericalError: if ``a`` has a NaN or infinite entry.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
@@ -49,6 +48,8 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> 
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = float(np.abs(a).max()) if a.size else 0.0
+    if not math.isfinite(scale):
+        raise NumericalError(f"{name} has a non-finite entry")
     deviation = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
     if deviation > max(rtol * scale, _ABS_FLOOR):
         raise ValueError(
@@ -58,33 +59,23 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> 
     return 0.5 * (a + a.conj().T)
 
 
-@dataclass
-class EigenPair:
-    """One eigenvalue of a Hermitian matrix with its unit-norm eigenvector."""
-
-    value: float
-    vector: np.ndarray
-
-
-def hermitian_evd(a) -> list[EigenPair]:
+def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, sorted by descending eigenvalue.
 
     Args:
         a: square Hermitian matrix (validated within tolerance).
 
     Returns:
-        List of :class:`EigenPair`, eigenvalues nonincreasing, eigenvectors
-        orthonormal, satisfying ``a ≈ sum(p.value * outer(p.vector, p.vector.conj()))``.
+        ``(values, vectors)``: eigenvalues nonincreasing, and the matching
+        orthonormal eigenvectors as the columns of ``vectors``, so that
+        ``a ≈ vectors @ diag(values) @ vectors^H``.
     """
     h = require_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
-    return [
-        EigenPair(float(values[i]), vectors[:, i].copy())
-        for i in range(values.size - 1, -1, -1)
-    ]
+    return values[::-1], vectors[:, ::-1]
 
 
 def hpd_solve(a, b) -> np.ndarray:
@@ -93,8 +84,9 @@ def hpd_solve(a, b) -> np.ndarray:
     ``b`` may be a vector or a matrix of stacked right-hand sides.
 
     Raises:
-        NumericalError: if ``a`` is not positive definite; the message names
-            the failing Cholesky pivot (1-based).
+        NumericalError: if ``a`` has a non-finite entry or is not positive
+            definite; in the second case the message names the failing
+            Cholesky pivot (1-based).
     """
     h = require_hermitian(a)
     rhs = np.asarray(b, dtype=complex)
@@ -108,15 +100,6 @@ def hpd_solve(a, b) -> np.ndarray:
     if info < 0:
         raise NumericalError(f"Cholesky factorization rejected argument {-info}")
     return cho_solve((factor, False), rhs, check_finite=False)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (or vectors).
-
-    Output dimensions are (rows_a*rows_b) x (cols_a*cols_b); entry
-    (i*rows_b + k, j*cols_b + l) equals a[i, j] * b[k, l].
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def hankel_from_vector(x, width: int) -> np.ndarray:

@@ -18,8 +18,9 @@ Conventions, fixed once here and relied on everywhere else:
   the distortionless constraint w^H s = 1 stays scale-free.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "TargetSpec",
     "RadarConfig",
     "CovarianceSet",
-    "Snapshot",
     "spatial_steering",
     "temporal_steering",
     "space_time_steering",
@@ -41,13 +41,20 @@ __all__ = [
     "jammer_covariance",
     "noise_covariance",
     "total_covariance",
-    "draw_snapshot",
     "draw_interference_block",
     "draw_target_block",
     "sample_covariance",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
+
+
+def _require_finite(spec) -> None:
+    """Reject a NaN or infinite float field of a scene dataclass, naming it."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,7 @@ class JammerSpec:
     jnr_db: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not -90.0 <= self.azimuth_deg <= 90.0:
             raise ValueError(f"jammer azimuth_deg must be in [-90, 90], got {self.azimuth_deg}")
 
@@ -69,6 +77,9 @@ class TargetSpec:
     azimuth_deg: float = 0.0
     doppler_hz: float = 100.0
     snr_db: float = 10.0
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 _TABLE_JAMMERS = (JammerSpec(-45.0, 40.0), JammerSpec(60.0, 40.0))
@@ -98,6 +109,7 @@ class RadarConfig:
     master_seed: int = 1234
 
     def __post_init__(self):
+        _require_finite(self)
         if self.num_sensors < 1:
             raise ValueError(f"num_sensors must be >= 1, got {self.num_sensors}")
         if self.num_pulses < 1:
@@ -158,7 +170,7 @@ def space_time_steering(
     b = spatial_steering(spatial_freq, num_sensors)
     a = temporal_steering(normalized_doppler, num_pulses)
     m = num_sensors * num_pulses
-    return linalg.kron(b, a).ravel() / np.sqrt(m)
+    return np.kron(b, a) / np.sqrt(m)
 
 
 def target_steering(cfg: RadarConfig, tgt: TargetSpec) -> np.ndarray:
@@ -223,7 +235,7 @@ def jammer_covariance(cfg: RadarConfig) -> np.ndarray:
     for jam in cfg.jammers:
         power = cfg.noise_power * 10.0 ** (jam.jnr_db / 10.0)
         b = spatial_steering(cfg.spatial_frequency(jam.azimuth_deg), cfg.num_sensors)
-        rj += power * linalg.kron(np.outer(b, b.conj()), eye_pulses)
+        rj += power * np.kron(np.outer(b, b.conj()), eye_pulses)
     return 0.5 * (rj + rj.conj().T)
 
 
@@ -265,14 +277,6 @@ def total_covariance(cfg: RadarConfig) -> CovarianceSet:
     return CovarianceSet(rc, rj, rn, rc + rj + rn)
 
 
-@dataclass
-class Snapshot:
-    """One space-time observation with its ground-truth hypothesis label."""
-
-    vector: np.ndarray
-    target_present: bool
-
-
 def draw_interference_block(cov: CovarianceSet, count: int, rng: np.random.Generator) -> np.ndarray:
     """(M, count) block of target-absent snapshots (columns i.i.d.)."""
     z = linalg.complex_standard_normal(rng, (cov.size, count))
@@ -298,39 +302,16 @@ def draw_target_block(
     return steering[:, None] * amp[None, :] + noise
 
 
-def draw_snapshot(
-    cfg: RadarConfig,
-    cov: CovarianceSet,
-    tgt: TargetSpec | None,
-    rng: np.random.Generator,
-) -> Snapshot:
-    """Draw one labelled snapshot; ``tgt=None`` means target absent."""
-    if tgt is None:
-        return Snapshot(draw_interference_block(cov, 1, rng)[:, 0], False)
-    s = target_steering(cfg, tgt)
-    xi = target_power(cfg, tgt)
-    return Snapshot(draw_target_block(cov, s, xi, 1, rng)[:, 0], True)
-
-
 def sample_covariance(snapshots, loading: float = 0.0) -> np.ndarray:
     """Diagonally loaded sample covariance loading*I + (1/K) * sum r r^H.
 
     Args:
-        snapshots: an (M, K) array of snapshot columns, or a sequence of
-            :class:`Snapshot` / length-M vectors.
+        snapshots: an (M, K) array of snapshot columns, K >= 1.
         loading: nonnegative ridge added to the diagonal.
     """
-    if isinstance(snapshots, np.ndarray):
-        block = np.asarray(snapshots, dtype=complex)
-        if block.ndim == 1:
-            block = block[:, None]
-    else:
-        columns = [np.asarray(getattr(s, "vector", s), dtype=complex) for s in snapshots]
-        if not columns:
-            raise ValueError("sample_covariance needs at least one snapshot")
-        block = np.column_stack(columns)
-    if block.size == 0 or block.shape[1] == 0:
-        raise ValueError("sample_covariance needs at least one snapshot")
+    block = np.asarray(snapshots, dtype=complex)
+    if block.ndim != 2 or block.size == 0:
+        raise ValueError(f"sample_covariance needs an (M, K) block with K >= 1, got shape {block.shape}")
     k = block.shape[1]
     est = block @ block.conj().T / k
     est = 0.5 * (est + est.conj().T)

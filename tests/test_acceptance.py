@@ -31,13 +31,13 @@ def announce(label, ok, detail=""):
 
 
 def final_sinr(result, name):
-    return result.curves[name][-1].sinr_db
+    return result.curves[name][-1].value
 
 
 def sinr_at(result, name, k):
     for point in result.curves[name]:
-        if point.snapshots_used == k:
-            return point.sinr_db
+        if point.x == k:
+            return point.value
     raise KeyError((name, k))
 
 
@@ -93,8 +93,8 @@ def doppler_sweep():
 def snr_required_for_pd(result, name, level=0.9):
     """Smallest grid-interpolated SNR reaching the requested Pd; inf if never."""
     points = result.curves[name]
-    snrs = np.array([p.snr_db for p in points])
-    pds = np.maximum.accumulate([p.pd for p in points])  # monotonize MC jitter
+    snrs = np.array([p.x for p in points])
+    pds = np.maximum.accumulate([p.value for p in points])  # monotonize MC jitter
     if pds[-1] < level:
         return math.inf
     idx = int(np.searchsorted(pds, level))
@@ -166,8 +166,8 @@ def test_clutter_notch(doppler_sweep):
     problems = []
     positions = {}
     for name, points in result.curves.items():
-        fds = np.array([p.doppler_hz for p in points], dtype=float)
-        values = np.array([p.sinr_db for p in points])
+        fds = np.array([p.x for p in points], dtype=float)
+        values = np.array([p.value for p in points])
         notch = fds[int(np.nanargmin(values))]
         positions[name] = notch
         if abs(notch) > 5.0:
@@ -187,7 +187,7 @@ def test_complexity_ordering():
         interp_len=8,
     )
     counts = {
-        name: np.array([p.multiplications for p in points], dtype=float)
+        name: np.array([p.value for p in points], dtype=float)
         for name, points in result.curves.items()
     }
     problems = []

@@ -239,17 +239,6 @@ class TestJidf:
             assert np.all(np.diff(branch.decimation) > 0)
             assert branch.decimation.min() >= 0 and branch.decimation.max() <= 63
 
-    def test_snapshot_sequence_input(self):
-        cfg = scene.RadarConfig(num_sensors=2, num_pulses=2, cnr_db=10.0, jammers=(), clutter_patches=21)
-        cov = scene.total_covariance(cfg)
-        rng = np.random.default_rng(6)
-        s = scene.target_steering(cfg, scene.TargetSpec(0.0, 60.0, 0.0))
-        snaps = [scene.draw_snapshot(cfg, cov, None, rng) for _ in range(24)]
-        block = np.column_stack([x.vector for x in snaps])
-        _, from_objects = bf.jidf_design(snaps, s, 2, 2, 2, 3)
-        _, from_block = bf.jidf_design(block, s, 2, 2, 2, 3)
-        np.testing.assert_allclose(from_objects.w, from_block.w, atol=1e-14)
-
     def test_composite_weight_matches_branch_output(self, table_scene):
         cov, s = table_scene
         rng = np.random.default_rng(5)
@@ -397,24 +386,6 @@ class TestKnowledgeAided:
         w = bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta")
         assert 0.0 <= w.hyperparams["eta"] <= 1.0
         assert abs(w.w.conj() @ s - 1.0) <= 1e-8
-
-
-class TestBeamformOutput:
-    def test_selector(self):
-        w = np.eye(4)[:, 0]
-        r = np.array([3.0 + 1j, 0.0, 1.0, 2.0])
-        assert bf.beamform_output(w, r) == pytest.approx(3.0 + 1j)
-
-    def test_unit_inner_product(self):
-        s = random_steering(np.random.default_rng(18), 6)
-        assert bf.beamform_output(s, s) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert bf.beamform_output(np.eye(3)[:, 0], np.eye(3)[:, 1]) == pytest.approx(0.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bf.beamform_output(np.ones(3), np.ones(4))
 
 
 class TestCrossDesignProperties:

@@ -2,6 +2,8 @@
 
 import time
 
+import numpy as np
+
 from stapbench import cli
 
 
@@ -72,9 +74,15 @@ class TestSmokeRuntime:
 class TestExitCodes:
     def test_validation_failure_is_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text("num_sensors = 0\n")
-        assert cli.main(["--config", str(cfg_path)]) == 2
-        assert "num_sensors" in capsys.readouterr().err
+        for text, key in (
+            ("num_sensors = 0\n", "num_sensors"),
+            ("cnr_db = nan\n", "cnr_db"),
+            (TOY_SCENE.replace("k_grid = 8, 16", "k_grid = 0, 16"), "k_grid"),
+        ):
+            cfg_path.write_text(text)
+            assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+            assert key in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_two(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 2
@@ -110,3 +118,22 @@ class TestExitCodes:
         cfg_path.write_text(TOY_SCENE)
         assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
         assert "budget" in capsys.readouterr().err
+
+    def test_nan_design_exit_is_three(self, tmp_path, monkeypatch, capsys):
+        from stapbench import evaluation as ev
+
+        real = ev.design_algorithm
+
+        def nan_design(name, ctx, r_hat, block):
+            w = real(name, ctx, r_hat, block)
+            if name == "smi":
+                w.w = w.w * np.nan
+            return w
+
+        monkeypatch.setattr(ev, "design_algorithm", nan_design)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TOY_SCENE)
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+        captured = capsys.readouterr()
+        assert "error: smi failed 4/4 designs" in captured.err
+        assert captured.out.splitlines()[3].split()[-1] == "4"  # the smi row's failure count

@@ -169,3 +169,19 @@ class TestExperimentSpec:
             ExperimentSpec(pfa=0.0)
         with pytest.raises(ConfigError):
             ExperimentSpec(algorithms=())
+        for key, text in (
+            ("k_grid", "[experiment]\nk_grid = 0, 10\n"),
+            ("k_train", "[experiment]\nk_train = 0\n"),
+            ("loading", "[experiment]\nloading = -0.01\n"),
+            ("loading", "[experiment]\nloading = nan\n"),
+            ("failure_budget", "[experiment]\nfailure_budget = 1.5\n"),
+            ("failure_budget", "[experiment]\nfailure_budget = -0.1\n"),
+            ("cnr_db", "cnr_db = nan\n"),
+            ("prf_hz", "prf_hz = inf\n"),
+            ("jnr_db", "[jammer]\nazimuth_deg = 10\njnr_db = nan\n"),
+            ("snr_db", "[target]\nsnr_db = -inf\n"),
+            ("evd_rank", "num_sensors = 2\nnum_pulses = 2\n[experiment]\nevd_rank = 5\n"),
+            ("krylov_rank", "[experiment]\nkrylov_rank = 65\n"),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                parse_config_text(text)

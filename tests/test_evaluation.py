@@ -8,6 +8,7 @@ import pytest
 from stapbench import beamformers as bf
 from stapbench import evaluation as ev
 from stapbench import scene
+from stapbench.config_io import ConfigError, parse_config_text
 from stapbench.linalg import NumericalError
 
 
@@ -48,6 +49,10 @@ class TestSinr:
     def test_degenerate_weight_rejected(self):
         with pytest.raises(NumericalError):
             ev.sinr(np.zeros(2), np.eye(2), np.ones(2), 1.0)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(NumericalError):
+            ev.sinr(np.full(2, np.nan), np.eye(2), np.ones(2), 1.0)
 
 
 class TestDetectionThreshold:
@@ -106,6 +111,47 @@ class TestMultiplicationCount:
             ev.multiplication_count("dft", 8)
 
 
+@pytest.fixture(scope="module")
+def small_design_context():
+    cfg = scene.RadarConfig(
+        num_sensors=4, num_pulses=4, cnr_db=30.0,
+        jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
+    )
+    params = ev.AlgorithmParams()
+    ctx = ev._make_context(cfg, scene.TargetSpec(), 0.01, params, ev.ALGORITHMS)
+    block = scene.draw_interference_block(ctx.cov, 40, np.random.default_rng(2))
+    return ctx, scene.sample_covariance(block, 0.01), block
+
+
+class TestDesignTable:
+    @pytest.mark.parametrize("name", ev.ALGORITHMS)
+    def test_every_algorithm_meets_the_design_contract(self, name, small_design_context):
+        ctx, r_hat, block = small_design_context
+        w = ev.design_algorithm(name, ctx, r_hat, block)
+        assert w.algorithm == name
+        assert abs(w.w.conj() @ ctx.steering - 1.0) <= 1e-8
+        p = ctx.params
+        sizes = {
+            "lr-evd": dict(d=ev.adaptive_rank(40, 16)),
+            "lr-krylov": dict(d=ev.adaptive_rank(40, 16)),
+            "lr-jio": dict(d=p.rank, iterations=p.iterations),
+            "lr-jidf": dict(
+                d=p.rank, b=bf.valid_branch_count(16, p.rank, p.branches),
+                i_len=p.interp_len, iterations=p.iterations,
+            ),
+        }.get(name, {})
+        assert w.multiplication_count == ev.multiplication_count(name, 16, k_snapshots=40, **sizes)
+        _, _, spec = parse_config_text(f"[experiment]\nalgorithms = {name}\n")
+        assert spec.algorithms == (name,)
+        with pytest.raises(ConfigError, match="unknown algorithm"):
+            parse_config_text(f"[experiment]\nalgorithms = {name}-x\n")
+
+    def test_unknown_name_rejected(self, small_design_context):
+        ctx, r_hat, block = small_design_context
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            ev.design_algorithm("dft", ctx, r_hat, block)
+
+
 class TestAdaptiveRank:
     def test_budget_rule(self):
         assert ev.adaptive_rank(25, 64) == 6  # floor at the small-rank default
@@ -124,26 +170,26 @@ class TestSinrVsSnapshots:
             cfg, ["optimal", "smi", "lr-jio"], k_max=48, runs=3, seed=5,
             k_grid=(12, 24, 48),
         )
-        optimal = [p.sinr_db for p in result.curves["optimal"]]
+        optimal = [p.value for p in result.curves["optimal"]]
         assert max(optimal) - min(optimal) < 1e-9
         for name in ("smi", "lr-jio"):
             for p, bound in zip(result.curves[name], optimal):
-                assert p.sinr_db <= bound + 1e-9
+                assert p.value <= bound + 1e-9
 
     def test_deterministic_given_seed(self):
         cfg = noise_only_cfg(num_sensors=2, num_pulses=2)
         kwargs = dict(k_max=16, runs=2, seed=9, k_grid=(8, 16))
         a = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs)
         b = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs)
-        assert [p.sinr_db for p in a.curves["smi"]] == [p.sinr_db for p in b.curves["smi"]]
+        assert [p.value for p in a.curves["smi"]] == [p.value for p in b.curves["smi"]]
 
     def test_workers_do_not_change_results(self):
         cfg = noise_only_cfg()
         kwargs = dict(k_max=16, runs=4, seed=9, k_grid=(8, 16))
         serial = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs, workers=1)
         threaded = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs, workers=4)
-        assert [p.sinr_db for p in serial.curves["smi"]] == [
-            p.sinr_db for p in threaded.curves["smi"]
+        assert [p.value for p in serial.curves["smi"]] == [
+            p.value for p in threaded.curves["smi"]
         ]
 
     def test_failure_accounting(self, monkeypatch):
@@ -161,8 +207,32 @@ class TestSinrVsSnapshots:
         )
         assert result.failures["smi"] == 2
         assert result.failures["optimal"] == 0
-        assert result.curves["smi"][0].run_count == 0
-        assert result.curves["optimal"][0].run_count == 2
+        assert result.curves["smi"][0].count == 0
+        assert result.curves["optimal"][0].count == 2
+
+    def test_nan_design_counts_as_failure(self, monkeypatch):
+        cfg = noise_only_cfg(num_sensors=2, num_pulses=2)
+        real = ev.design_algorithm
+
+        def nan_design(name, ctx, r_hat, block):
+            w = real(name, ctx, r_hat, block)
+            if name == "ka-mvdr":
+                w.w = np.full_like(w.w, np.nan)
+            return w
+
+        monkeypatch.setattr(ev, "design_algorithm", nan_design)
+        result = ev.run_sinr_vs_snapshots(
+            cfg, ["ka-mvdr", "smi"], k_max=16, runs=2, seed=1, k_grid=(8, 16)
+        )
+        assert result.failures == {"ka-mvdr": 4, "smi": 0}
+        assert [p.count for p in result.curves["ka-mvdr"]] == [0, 0]
+        pd = ev.run_pd_vs_snr(
+            cfg, ["ka-mvdr", "smi"], snr_grid_db=(0.0, 10.0), k_train=8, trials=40,
+            pfa=1e-2, seed=1, designs=4,
+        )
+        assert pd.failures == {"ka-mvdr": 4, "smi": 0}
+        assert [p.count for p in pd.curves["ka-mvdr"]] == [0, 0]
+        assert [p.count for p in pd.curves["smi"]] == [40, 40]
 
 
 class TestSinrVsDoppler:
@@ -172,7 +242,7 @@ class TestSinrVsDoppler:
             cfg, ["optimal"], doppler_grid=np.arange(-100.0, 101.0, 25.0),
             k_train=32, runs=1, seed=3,
         )
-        values = [p.sinr_db for p in result.curves["optimal"]]
+        values = [p.value for p in result.curves["optimal"]]
         assert max(values) - min(values) < 1e-9
 
     def test_clutter_notch_at_ridge(self):
@@ -181,8 +251,8 @@ class TestSinrVsDoppler:
             k_train=64, runs=1, seed=3,
         )
         points = result.curves["optimal"]
-        fds = [p.doppler_hz for p in points]
-        values = [p.sinr_db for p in points]
+        fds = [p.x for p in points]
+        values = [p.value for p in points]
         assert abs(fds[int(np.argmin(values))]) <= 5.0
 
     def test_optimal_curve_symmetry(self):
@@ -190,7 +260,7 @@ class TestSinrVsDoppler:
             scene.RadarConfig(), ["optimal"], doppler_grid=np.arange(-100.0, 101.0, 5.0),
             k_train=64, runs=1, seed=4,
         )
-        values = [p.sinr_db for p in result.curves["optimal"]]
+        values = [p.value for p in result.curves["optimal"]]
         for left, right in zip(values, values[::-1]):
             assert abs(left - right) <= 0.5
 
@@ -212,13 +282,13 @@ class TestPdVsSnr:
     def test_low_snr_matches_false_alarm_rate(self, small_pd):
         _, result = small_pd
         first = result.curves["optimal"][0]
-        se = math.sqrt(1e-2 * (1 - 1e-2) / first.trials)
-        assert abs(first.pd - 1e-2) <= 4 * se + 2e-3
+        se = math.sqrt(1e-2 * (1 - 1e-2) / first.count)
+        assert abs(first.value - 1e-2) <= 4 * se + 2e-3
 
     def test_pd_nondecreasing_within_noise(self, small_pd):
         _, result = small_pd
         for name in ("optimal", "smi"):
-            values = [p.pd for p in result.curves[name]]
+            values = [p.value for p in result.curves[name]]
             for a, b in zip(values, values[1:]):
                 assert b >= a - 0.01
 
@@ -228,11 +298,11 @@ class TestPdVsSnr:
         s = scene.target_steering(cfg, scene.TargetSpec())
         w = bf.mvdr_weights(cov.r_total, s)
         for point in result.curves["optimal"]:
-            xi = cfg.noise_power * 10 ** (point.snr_db / 10.0)
+            xi = cfg.noise_power * 10 ** (point.x / 10.0)
             sinr_lin = 10 ** (ev.sinr(w, cov, s, xi) / 10.0)
-            expect = ev.pd_analytic(sinr_lin, point.pfa_target)
-            se = math.sqrt(max(expect * (1 - expect), 1e-12) / point.trials)
-            assert abs(point.pd - expect) <= 3 * se + 1e-3, point.snr_db
+            expect = ev.pd_analytic(sinr_lin, 1e-2)
+            se = math.sqrt(max(expect * (1 - expect), 1e-12) / point.count)
+            assert abs(point.value - expect) <= 3 * se + 1e-3, point.x
 
     def test_deterministic(self, small_pd):
         cfg, result = small_pd
@@ -240,7 +310,7 @@ class TestPdVsSnr:
             cfg, ["optimal", "smi"], snr_grid_db=np.arange(-10.0, 21.0, 2.0),
             k_train=24, trials=60_000, pfa=1e-2, seed=11, designs=6,
         )
-        assert [p.pd for p in again.curves["smi"]] == [p.pd for p in result.curves["smi"]]
+        assert [p.value for p in again.curves["smi"]] == [p.value for p in result.curves["smi"]]
 
 
 class TestEmpiricalFalseAlarm:
@@ -272,7 +342,7 @@ class TestComplexitySweep:
         algorithms = ["smi", "lr-evd", "lr-krylov", "lr-jidf", "sa-mvdr", "ka-mvdr"]
         result = ev.run_complexity_sweep(algorithms, m_grid=(32, 64, 128, 256))
         by_alg = {
-            name: [p.multiplications for p in points]
+            name: [p.value for p in points]
             for name, points in result.curves.items()
         }
         for fast in ("lr-jidf", "lr-krylov"):
@@ -282,6 +352,6 @@ class TestComplexitySweep:
 
     def test_smi_scaling_is_cubic(self):
         result = ev.run_complexity_sweep(["smi"], m_grid=(256, 512, 1024, 2048))
-        counts = [p.multiplications for p in result.curves["smi"]]
+        counts = [p.value for p in result.curves["smi"]]
         ratios = [b / a for a, b in zip(counts, counts[1:])]
         assert all(abs(r - 8.0) < 0.6 for r in ratios)

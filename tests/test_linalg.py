@@ -1,4 +1,4 @@
-"""Kernel tests: eigendecomposition, HPD solves, Kronecker, Hankel, sampling."""
+"""Kernel tests: eigendecomposition, HPD solves, Hankel, sampling."""
 
 import numpy as np
 import pytest
@@ -19,24 +19,23 @@ def random_hpd(rng, n):
 
 class TestHermitianEvd:
     def test_identity(self):
-        pairs = linalg.hermitian_evd(np.eye(3))
-        assert len(pairs) == 3
-        np.testing.assert_allclose([p.value for p in pairs], [1.0, 1.0, 1.0], atol=1e-12)
-        vecs = np.column_stack([p.vector for p in pairs])
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(3), atol=1e-10)
+        values, vectors = linalg.hermitian_evd(np.eye(3))
+        assert values.shape == (3,) and vectors.shape == (3, 3)
+        np.testing.assert_allclose(values, [1.0, 1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(3), atol=1e-10)
 
     def test_diagonal(self):
-        pairs = linalg.hermitian_evd(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose([p.value for p in pairs], [3.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(pairs[0].vector), [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(pairs[1].vector), [0.0, 1.0], atol=1e-12)
+        values, vectors = linalg.hermitian_evd(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(vectors[:, 0]), [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(np.abs(vectors[:, 1]), [0.0, 1.0], atol=1e-12)
 
     def test_two_by_two_hand_case(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-x)^2 - 1 -> x in {3, 1}
-        pairs = linalg.hermitian_evd(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose([p.value for p in pairs], [3.0, 1.0], atol=1e-12)
-        v0 = pairs[0].vector
-        v1 = pairs[1].vector
+        values, vectors = linalg.hermitian_evd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
+        v0 = vectors[:, 0]
+        v1 = vectors[:, 1]
         assert abs(abs(v0 @ np.ones(2) / np.sqrt(2)) - 1.0) < 1e-10
         assert abs(abs(v1 @ np.array([1.0, -1.0]) / np.sqrt(2))) > 1.0 - 1e-10
 
@@ -44,13 +43,11 @@ class TestHermitianEvd:
         rng = np.random.default_rng(3)
         for n in (2, 5, 17, 64):
             a = random_hermitian(rng, n, scale=3.0)
-            pairs = linalg.hermitian_evd(a)
-            values = np.array([p.value for p in pairs])
+            values, vectors = linalg.hermitian_evd(a)
             assert np.all(np.diff(values) <= 1e-12)
-            rebuilt = sum(p.value * np.outer(p.vector, p.vector.conj()) for p in pairs)
+            rebuilt = (vectors * values) @ vectors.conj().T
             assert np.linalg.norm(a - rebuilt) <= 1e-8 * np.linalg.norm(a)
-            for p in pairs:
-                assert abs(np.linalg.norm(p.vector) - 1.0) < 1e-10
+            np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-10)
 
     def test_rejects_non_square_and_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -96,34 +93,10 @@ class TestHpdSolve:
         with pytest.raises(NumericalError, match="pivot 2"):
             linalg.hpd_solve(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
 
-
-class TestKron:
-    def test_vector_case(self):
-        out = linalg.kron(np.array([[1.0], [2.0]]), np.array([[1.0], [-1.0]]))
-        np.testing.assert_allclose(out.ravel(), [1.0, -1.0, 2.0, -2.0])
-
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_swap_blocks(self):
-        out = linalg.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0]))
-        expect = np.zeros((4, 4))
-        expect[0:2, 2:4] = np.diag([1.0, 2.0])
-        expect[2:4, 0:2] = np.diag([1.0, 2.0])
-        np.testing.assert_allclose(out, expect)
-
-    def test_bilinear_and_mixed_product(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        d = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        np.testing.assert_allclose(
-            linalg.kron(a + c, b), linalg.kron(a, b) + linalg.kron(c, b), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            linalg.kron(a, b) @ linalg.kron(c, d), linalg.kron(a @ c, b @ d), atol=1e-12
-        )
+    def test_non_finite_matrix_rejected(self):
+        for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
+            with pytest.raises(NumericalError, match="non-finite"):
+                linalg.hpd_solve(bad, np.ones(3))
 
 
 class TestHankel:

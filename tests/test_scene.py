@@ -1,5 +1,7 @@
 """Scene-synthesis tests: steering vectors, covariance models, snapshots."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,10 @@ class TestJammerCovariance:
             num_sensors=2, num_pulses=1, jammers=(scene.JammerSpec(0.0, 0.0),), cnr_db=None
         )
         np.testing.assert_allclose(scene.jammer_covariance(cfg), np.ones((2, 2)), atol=1e-12)
+        # white across pulses: entry (n*J + j, n'*J + j') is 1 when j == j', else 0
+        cfg = replace(cfg, num_pulses=2)
+        expect = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
+        np.testing.assert_allclose(scene.jammer_covariance(cfg), expect, atol=1e-12)
 
     def test_table_scene_rank(self):
         rj = scene.jammer_covariance(TABLE_CFG)
@@ -160,10 +166,9 @@ class TestSnapshots:
         cov = scene.CovarianceSet(
             np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
         )
-        cfg = scene.RadarConfig(num_sensors=2, num_pulses=1, jammers=(), cnr_db=None)
-        snap = scene.draw_snapshot(cfg, cov, None, np.random.default_rng(0))
-        np.testing.assert_allclose(snap.vector, 0.0)
-        assert snap.target_present is False
+        block = scene.draw_interference_block(cov, 1, np.random.default_rng(0))
+        assert block.shape == (2, 1)
+        np.testing.assert_allclose(block, 0.0)
 
     def test_strong_target_alignment(self):
         cfg = scene.RadarConfig(num_sensors=4, num_pulses=4, jammers=(), cnr_db=None)
@@ -171,10 +176,9 @@ class TestSnapshots:
         tgt = scene.TargetSpec(0.0, 50.0, 80.0)  # essentially noise-free
         s = scene.target_steering(cfg, tgt)
         rng = np.random.default_rng(1)
-        snap = scene.draw_snapshot(cfg, cov, tgt, rng)
-        coherence = abs(s.conj() @ snap.vector) / np.linalg.norm(snap.vector)
+        snap = scene.draw_target_block(cov, s, scene.target_power(cfg, tgt), 1, rng)[:, 0]
+        coherence = abs(s.conj() @ snap) / np.linalg.norm(snap)
         assert coherence > 1.0 - 1e-3
-        assert snap.target_present is True
 
     def test_interference_block_covariance(self):
         cfg = small_cfg()
@@ -210,12 +214,8 @@ class TestSampleCovariance:
         est = scene.sample_covariance(np.zeros((3, 2)), 0.01)
         np.testing.assert_allclose(est, 0.01 * np.eye(3), atol=1e-15)
 
-    def test_snapshot_objects_accepted(self):
-        snaps = [
-            scene.Snapshot(np.array([1.0, 0.0]), False),
-            scene.Snapshot(np.array([0.0, 1.0]), False),
-        ]
-        np.testing.assert_allclose(scene.sample_covariance(snaps, 0.0), np.eye(2) / 2)
+    def test_orthogonal_unit_columns(self):
+        np.testing.assert_allclose(scene.sample_covariance(np.eye(2), 0.0), np.eye(2) / 2)
 
     def test_law_of_large_numbers_white(self):
         rng = np.random.default_rng(9)
