@@ -1,9 +1,9 @@
-"""Kernel tests: eigendecomposition, HPD solves, Hankel, sampling."""
+"""Kernel tests: eigendecomposition, HPD solves, Kronecker layout, Hankel, sampling."""
 
 import numpy as np
 import pytest
 
-from stapbench import linalg
+from stapbench import linalg, scene
 from stapbench.linalg import NumericalError
 
 
@@ -97,6 +97,26 @@ class TestHpdSolve:
         for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
             with pytest.raises(NumericalError, match="non-finite"):
                 linalg.hpd_solve(bad, np.ones(3))
+
+
+class TestKron:
+    """Sensor-major Kronecker layout of the space-time vectors and matrices."""
+
+    def test_vector_case(self):
+        # spatial [1, 1] (zero spatial frequency) times temporal [1, -1]
+        s = scene.space_time_steering(0.0, 0.5, 2, 2)
+        np.testing.assert_allclose(s, [0.5, -0.5, 0.5, -0.5], atol=1e-15)
+
+    def test_swap_blocks(self):
+        # endfire jammer: spatial outer product [[1, -1], [-1, 1]] times I_pulses,
+        # so the off-diagonal sensor blocks are -I and the diagonal ones I
+        cfg = scene.RadarConfig(
+            num_sensors=2, num_pulses=2, jammers=(scene.JammerSpec(90.0, 0.0),), cnr_db=None
+        )
+        expect = np.zeros((4, 4))
+        expect[0:2, 0:2] = expect[2:4, 2:4] = np.eye(2)
+        expect[0:2, 2:4] = expect[2:4, 0:2] = -np.eye(2)
+        np.testing.assert_allclose(scene.jammer_covariance(cfg), expect, atol=1e-12)
 
 
 class TestHankel:
