@@ -1,6 +1,12 @@
 """Command-line contract tests: files, determinism, exit codes, runtime."""
 
+import csv
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -60,6 +66,32 @@ class TestDeterminism:
         assert cli.main(["--config", str(cfg_path), "--out", str(out1), "--threads", "1"]) == 0
         assert cli.main(["--config", str(cfg_path), "--out", str(out2), "--threads", "4"]) == 0
         assert read(out1 / "sinr-vs-snapshots.csv") == read(out2 / "sinr-vs-snapshots.csv")
+
+    def test_blas_thread_count_does_not_change_metrics(self, tmp_path):
+        # every K >= M: below K = M, lr-evd picks eigenvectors out of a degenerate
+        # eigenspace of the sample covariance, and those depend on the BLAS threading
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(
+            "[experiment]\nkind = sinr-vs-snapshots\nk_max = 128\nk_grid = 64, 96, 128\n"
+            "runs = 2\nseed = 7\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "stapbench.cli", "--config", str(cfg_path), "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            with open(out / "sinr-vs-snapshots.csv", newline="") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        one, two = tables
+        assert len(one) == len(two) == 8 * 3
+        for a, b in zip(one, two):
+            assert (a["algorithm"], a["x_value"], a["runs"]) == (b["algorithm"], b["x_value"], b["runs"])
+            for key in ("metric", "std"):
+                assert math.isclose(float(a[key]), float(b[key]), rel_tol=1e-8), (a, b)
 
 
 class TestSmokeRuntime:

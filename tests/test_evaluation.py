@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from stapbench import beamformers as bf
 from stapbench import evaluation as ev
@@ -233,6 +234,26 @@ class TestSinrVsSnapshots:
         assert pd.failures == {"ka-mvdr": 4, "smi": 0}
         assert [p.count for p in pd.curves["ka-mvdr"]] == [0, 0]
         assert [p.count for p in pd.curves["smi"]] == [40, 40]
+
+
+class TestSmiLossLaw:
+    def test_mean_db_loss_matches_rmb_law(self):
+        # Reed, Mallett & Brennan (IEEE TAES 1974): unloaded SMI on K target-free
+        # snapshots keeps a Beta(K-M+2, M-1) share of the optimal SINR, and the mean
+        # of that share in dB is (10 / ln 10) * (psi(K-M+2) - psi(K+1)). The dB of
+        # the mean share, 10*log10((K+2-M)/(K+1)), is a different number.
+        cfg = scene.RadarConfig()
+        m, runs = cfg.size, 400
+        result = ev.run_sinr_vs_snapshots(
+            cfg, ["optimal", "smi"], k_max=400, runs=runs, seed=cfg.master_seed,
+            k_grid=(80, 100, 200, 400), loading=0.0,
+        )
+        optimal = result.curves["optimal"][0].value
+        for point in result.curves["smi"]:
+            expect = 10.0 / math.log(10.0) * (digamma(point.x - m + 2) - digamma(point.x + 1))
+            assert point.count == runs
+            se = point.std / math.sqrt(runs)
+            assert abs(point.value - optimal - expect) <= 3 * se, point.x
 
 
 class TestSinrVsDoppler:
