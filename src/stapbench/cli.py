@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, scene, storage
-from .config_io import ConfigError, ExperimentSpec, parse_config
+from .config_io import ExperimentSpec, parse_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,40 +29,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "space-time beamformers.",
     )
     parser.add_argument("--config", metavar="PATH", help="configuration file (defaults apply if omitted)")
-    parser.add_argument("--experiment", metavar="KIND", help="override the experiment kind")
+    parser.add_argument("--experiment", dest="kind", metavar="KIND", help="override the experiment kind")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     parser.add_argument("--runs", type=int, metavar="N", help="override the Monte-Carlo run count")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     parser.add_argument("--threads", type=int, metavar="N", help="worker threads (default 1)")
     return parser
 
 
 def run_experiment(cfg, target, spec: ExperimentSpec):
-    """Dispatch one experiment; returns its ExperimentResult."""
-    seed = spec.seed if spec.seed is not None else cfg.master_seed
-    if spec.kind == "complexity":
-        algorithms = [a for a in spec.algorithms if a != "optimal"]
-        return evaluation.run_complexity_sweep(
-            algorithms, spec.m_grid, rank=spec.rank, branches=spec.branches,
-            interp_len=spec.interp_len, iterations=spec.iterations,
-        )
-    if spec.kind == "sinr-vs-snapshots":
-        return evaluation.run_sinr_vs_snapshots(
-            cfg, spec.algorithms, spec.k_max, spec.runs, seed,
-            k_grid=spec.k_grid, target=target, loading=spec.loading,
-            params=spec, workers=spec.threads,
-        )
-    if spec.kind == "sinr-vs-doppler":
-        return evaluation.run_sinr_vs_doppler(
-            cfg, spec.algorithms, spec.doppler_grid(), spec.effective_k_train(),
-            spec.runs, seed, target=target, loading=spec.loading,
-            params=spec, workers=spec.threads,
-        )
-    return evaluation.run_pd_vs_snr(
-        cfg, spec.algorithms, spec.snr_grid_db, spec.effective_k_train(),
-        spec.trials, spec.pfa, seed, designs=spec.designs, target=target,
-        loading=spec.loading, params=spec, workers=spec.threads,
-    )
+    """Run the experiment ``spec`` describes; returns its ExperimentResult."""
+    return getattr(evaluation, evaluation.RUNNERS[spec.kind])(cfg, target, spec)
 
 
 def write_outputs(result, out_dir) -> None:
@@ -90,31 +67,16 @@ def main(argv=None) -> int:
             cfg, target, spec = parse_config(args.config)
         else:
             cfg, target, spec = scene.RadarConfig(), scene.TargetSpec(), ExperimentSpec()
-        overrides = {}
-        if args.experiment is not None:
-            overrides["kind"] = args.experiment
-        if args.runs is not None:
-            overrides["runs"] = args.runs
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        elif spec.seed is None and os.environ.get("STAP_BENCH_SEED"):
+        # every flag but --config overrides the experiment field it is named for
+        overrides = {
+            key: value for key, value in vars(args).items() if key != "config" and value is not None
+        }
+        if args.seed is None and spec.seed is None and os.environ.get("STAP_BENCH_SEED"):
             overrides["seed"] = int(os.environ["STAP_BENCH_SEED"])
         if overrides:
             spec = replace(spec, **overrides)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         result = run_experiment(cfg, target, spec)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
 from . import scene
-from .evaluation import ALGORITHMS, AlgorithmParams
+from .evaluation import ALGORITHMS, RUNNERS, AlgorithmParams
 
 __all__ = ["ConfigError", "ExperimentSpec", "parse_config", "parse_config_text", "serialize_config"]
 
-EXPERIMENT_KINDS = ("sinr-vs-snapshots", "sinr-vs-doppler", "pd-vs-snr", "complexity")
+EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
 class ConfigError(ValueError):
@@ -49,6 +49,7 @@ class ExperimentSpec(AlgorithmParams):
     threads: int = 1
 
     def __post_init__(self):
+        scene._require_finite(self, ConfigError)
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if not self.algorithms:
@@ -60,19 +61,26 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.trials < 1 or self.designs < 1:
             raise ConfigError("trials and designs must be >= 1")
-        if self.k_grid is not None and any(k < 1 for k in self.k_grid):
-            raise ConfigError(f"k_grid entries must be >= 1, got {self.k_grid}")
+        if self.k_max < 1:
+            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+        if self.k_grid is not None and not all(1 <= k <= self.k_max for k in self.k_grid):
+            raise ConfigError(f"k_grid entries must be in [1, k_max={self.k_max}], got {self.k_grid}")
         if self.k_train is not None and self.k_train < 1:
             raise ConfigError(f"k_train must be >= 1, got {self.k_train}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be nonempty")
-        if not self.m_grid:
-            raise ConfigError("m_grid must be nonempty")
+        if not self.m_grid or min(self.m_grid) < 1:
+            raise ConfigError(f"m_grid must be nonempty with entries >= 1, got {self.m_grid}")
         if self.doppler_step_hz <= 0:
             raise ConfigError("doppler_step_hz must be positive")
+        if self.doppler_min_hz > self.doppler_max_hz:
+            raise ConfigError(
+                "doppler_min_hz must be <= doppler_max_hz, "
+                f"got {self.doppler_min_hz} > {self.doppler_max_hz}"
+            )
         if not 0.0 < self.pfa <= 1.0:
             raise ConfigError(f"pfa must be in (0, 1], got {self.pfa}")
-        if not self.loading >= 0.0:
+        if self.loading < 0.0:
             raise ConfigError(f"loading must be >= 0, got {self.loading}")
         if not 0.0 <= self.failure_budget <= 1.0:
             raise ConfigError(f"failure_budget must be in [0, 1], got {self.failure_budget}")

@@ -23,6 +23,7 @@ __all__ = [
     "ExperimentResult",
     "AlgorithmParams",
     "ALGORITHMS",
+    "RUNNERS",
     "sinr",
     "detection_threshold",
     "pd_analytic",
@@ -269,11 +270,11 @@ def _table_entry(name: str):
 def multiplication_count(
     algorithm: str,
     m: int,
-    d: int | None = None,
-    b: int | None = None,
-    i_len: int | None = None,
+    d: int = AlgorithmParams.rank,
+    b: int = AlgorithmParams.branches,
+    i_len: int = AlgorithmParams.interp_len,
     k_snapshots: int | None = None,
-    iterations: int = 5,
+    iterations: int = AlgorithmParams.iterations,
 ) -> int:
     """Deterministic complex-multiplication count of one design.
 
@@ -281,14 +282,12 @@ def multiplication_count(
     estimation costs K*M^2; a Hermitian solve/inversion M^3; an
     eigendecomposition 10*M^3; reduced-rank projections D*M^2 and reduced
     solves D^3. The branch scheme never forms an M x M covariance, which is
-    where its advantage comes from.
+    where its advantage comes from. Without ``k_snapshots`` the training set
+    scales with the problem (K = M).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     k = k_snapshots if k_snapshots is not None else m
-    d = d if d is not None else 6
-    b = b if b is not None else 8
-    i_len = i_len if i_len is not None else 8
     if min(k, d, b, i_len, iterations) < 1:
         raise ValueError("all complexity parameters must be >= 1")
     _, cost = _table_entry(algorithm)
@@ -310,16 +309,43 @@ def design_algorithm(name: str, ctx: DesignContext, r_hat, block) -> bf.Beamform
     return w
 
 
-def _make_context(cfg, target, loading, params, algorithms) -> DesignContext:
+def _make_context(cfg, target, spec) -> DesignContext:
     cov = scene.total_covariance(cfg)
     steering = scene.target_steering(cfg, target)
     xi = scene.target_power(cfg, target)
     prior = None
-    if "ka-mvdr" in algorithms:
+    if "ka-mvdr" in spec.algorithms:
         prior = bf.ka_prior(
-            cfg, bf.PriorPerturbation(params.prior_velocity_fraction, params.prior_cnr_offset_db)
+            cfg, bf.PriorPerturbation(spec.prior_velocity_fraction, spec.prior_cnr_offset_db)
         )
-    return DesignContext(cfg, cov, steering, xi, loading, params, prior)
+    return DesignContext(cfg, cov, steering, xi, spec.loading, spec, prior)
+
+
+# experiment kind -> name of its runner in this module. Every runner takes
+# (cfg, target, spec): the scene, the target, and an ExperimentSpec of the
+# runner's kind, validated when it was built, which supplies the grid, the run
+# counts, the design hyperparameters, the worker count (``threads``) and the
+# seed. The name is looked up at call time, so that a wrapper installed on a
+# runner sees every call.
+RUNNERS = {
+    "sinr-vs-snapshots": "run_sinr_vs_snapshots",
+    "sinr-vs-doppler": "run_sinr_vs_doppler",
+    "pd-vs-snr": "run_pd_vs_snr",
+    "complexity": "run_complexity_sweep",
+}
+
+
+def _require_kind(spec, kind: str) -> None:
+    if spec.kind != kind:
+        raise ValueError(f"{RUNNERS[kind]} runs {kind!r} experiments, got kind {spec.kind!r}")
+
+
+def _start(kind: str, cfg, target, spec):
+    """Check that ``spec`` is a ``kind`` experiment; return the design context
+    and the seed (the scene's master seed unless the spec sets one)."""
+    _require_kind(spec, kind)
+    seed = spec.seed if spec.seed is not None else cfg.master_seed
+    return _make_context(cfg, target, spec), seed
 
 
 def _parallel_map(fn, count: int, workers: int) -> list:
@@ -369,18 +395,7 @@ def _default_k_grid(k_max: int) -> tuple[int, ...]:
     return tuple(int(k) for k in grid if k <= k_max)
 
 
-def run_sinr_vs_snapshots(
-    cfg: scene.RadarConfig,
-    algorithms,
-    k_max: int,
-    runs: int,
-    seed: int,
-    k_grid=None,
-    target: scene.TargetSpec | None = None,
-    loading: float = 0.01,
-    params: AlgorithmParams | None = None,
-    workers: int = 1,
-) -> ExperimentResult:
+def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
     """Output SINR (against the true covariance) as training size grows.
 
     Each run draws ``k_max`` target-free snapshots; every algorithm is
@@ -388,15 +403,9 @@ def run_sinr_vs_snapshots(
     against the true interference covariance. The optimal bound is available
     as the "optimal" algorithm and is K-independent by construction.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    algorithms = list(algorithms)
-    params = params or AlgorithmParams()
-    target = target or scene.TargetSpec()
-    ctx = _make_context(cfg, target, loading, params, algorithms)
-    grid = tuple(sorted(set(int(k) for k in (k_grid or _default_k_grid(k_max)))))
-    if not grid or grid[-1] > k_max:
-        raise ValueError("k_grid must be nonempty and bounded by k_max")
+    ctx, seed = _start("sinr-vs-snapshots", cfg, target, spec)
+    algorithms, k_max, loading = spec.algorithms, spec.k_max, spec.loading
+    grid = tuple(sorted(set(int(k) for k in (spec.k_grid or _default_k_grid(k_max)))))
     m = cfg.size
 
     def one_run(run_idx: int):
@@ -419,22 +428,11 @@ def run_sinr_vs_snapshots(
                     pass  # the NaN left in place counts as a failed design
         return values
 
-    samples = _parallel_map(one_run, runs, workers)
-    return _aggregate("sinr-vs-snapshots", "snapshots", "sinr_db", algorithms, grid, samples)
+    samples = _parallel_map(one_run, spec.runs, spec.threads)
+    return _aggregate(spec.kind, "snapshots", "sinr_db", algorithms, grid, samples)
 
 
-def run_sinr_vs_doppler(
-    cfg: scene.RadarConfig,
-    algorithms,
-    doppler_grid,
-    k_train: int,
-    runs: int,
-    seed: int,
-    target: scene.TargetSpec | None = None,
-    loading: float = 0.01,
-    params: AlgorithmParams | None = None,
-    workers: int = 1,
-) -> ExperimentResult:
+def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
     """Output SINR across target Doppler at a fixed training size.
 
     The training block (and hence the sample covariance) is Doppler-
@@ -442,24 +440,17 @@ def run_sinr_vs_doppler(
     clutter notch is expected where the target Doppler crosses the clutter
     ridge at the look angle.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    grid = tuple(float(f) for f in doppler_grid)
-    if not grid:
-        raise ValueError("doppler_grid must be nonempty")
-    algorithms = list(algorithms)
-    params = params or AlgorithmParams()
-    base_target = target or scene.TargetSpec()
-    ctx = _make_context(cfg, base_target, loading, params, algorithms)
-    m = cfg.size
+    ctx, seed = _start("sinr-vs-doppler", cfg, target, spec)
+    algorithms, k_train = spec.algorithms, spec.effective_k_train()
+    grid = tuple(float(f) for f in spec.doppler_grid())
 
     def one_run(run_idx: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
-        r_hat = scene.sample_covariance(block, loading)
+        r_hat = scene.sample_covariance(block, spec.loading)
         values = np.full((len(algorithms), len(grid)), np.nan)
         for gi, fd in enumerate(grid):
-            tgt = replace(base_target, doppler_hz=fd)
+            tgt = replace(target, doppler_hz=fd)
             fd_ctx = replace(
                 ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)
             )
@@ -471,54 +462,35 @@ def run_sinr_vs_doppler(
                     pass  # the NaN left in place counts as a failed design
         return values
 
-    samples = _parallel_map(one_run, runs, workers)
-    return _aggregate("sinr-vs-doppler", "doppler_hz", "sinr_db", algorithms, grid, samples)
+    samples = _parallel_map(one_run, spec.runs, spec.threads)
+    return _aggregate(spec.kind, "doppler_hz", "sinr_db", algorithms, grid, samples)
 
 
-def run_pd_vs_snr(
-    cfg: scene.RadarConfig,
-    algorithms,
-    snr_grid_db,
-    k_train: int,
-    trials: int,
-    pfa: float,
-    seed: int,
-    designs: int = 20,
-    target: scene.TargetSpec | None = None,
-    loading: float = 0.01,
-    params: AlgorithmParams | None = None,
-    workers: int = 1,
-) -> ExperimentResult:
+def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
     """Empirical detection probability against per-element SNR.
 
-    Trials are split over ``designs`` independent design blocks; each block
+    ``trials`` are split over ``designs`` independent design blocks; each block
     trains every algorithm once on target-free data, then scores shared
     target-present draws across the whole SNR grid (the draw is SNR- and
     algorithm-independent, only the deterministic amplitude scales).
     Thresholds use the exact target-free output power from the true
     covariance, so the detection statistic isolates filter quality.
     """
-    if trials < 1 or designs < 1:
-        raise ValueError("trials and designs must be >= 1")
-    grid = tuple(float(v) for v in snr_grid_db)
-    if not grid:
-        raise ValueError("snr_grid_db must be nonempty")
-    algorithms = list(algorithms)
-    params = params or AlgorithmParams()
-    base_target = target or scene.TargetSpec()
-    ctx = _make_context(cfg, base_target, loading, params, algorithms)
+    ctx, seed = _start("pd-vs-snr", cfg, target, spec)
+    algorithms, k_train, designs = spec.algorithms, spec.effective_k_train(), spec.designs
+    grid = tuple(float(v) for v in spec.snr_grid_db)
     m = cfg.size
     s = ctx.steering
     r_total = ctx.cov.r_total
-    per_design = [trials // designs] * designs
-    per_design[0] += trials - sum(per_design)
-    log_inv_pfa = math.log(1.0 / pfa)
+    per_design = [spec.trials // designs] * designs
+    per_design[0] += spec.trials - sum(per_design)
+    log_inv_pfa = math.log(1.0 / spec.pfa)
     amp = np.sqrt(cfg.noise_power * 10.0 ** (np.asarray(grid) / 10.0) * m)
 
     def one_design(didx: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, didx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
-        r_hat = scene.sample_covariance(block, loading)
+        r_hat = scene.sample_covariance(block, spec.loading)
         weights, mus, gains = [], [], []
         for name in algorithms:
             try:
@@ -548,39 +520,25 @@ def run_pd_vs_snr(
         counts[~np.isfinite(mus)] = np.nan
         return counts
 
-    samples = _parallel_map(one_design, designs, workers)
+    samples = _parallel_map(one_design, designs, spec.threads)
     return _aggregate(
-        "pd-vs-snr", "snr_db", "pd", algorithms, grid, samples, trials=np.asarray(per_design)
+        spec.kind, "snr_db", "pd", algorithms, grid, samples, trials=np.asarray(per_design)
     )
 
 
-def run_complexity_sweep(
-    algorithms,
-    m_grid,
-    rank: int = 6,
-    branches: int = 8,
-    interp_len: int = 8,
-    iterations: int = 5,
-    k_snapshots=None,
-) -> ExperimentResult:
-    """Multiplication counts over a grid of problem sizes.
-
-    ``k_snapshots`` may be an integer or None; None scales the training set
-    with the problem (K = M), which keeps the covariance-formation term
-    commensurate with the solve terms across the grid.
+def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
+    """Multiplication counts over ``m_grid`` for every algorithm but the
+    clairvoyant ``optimal`` bound, with the training set scaled to the problem
+    (K = M), which keeps the covariance-formation term commensurate with the
+    solve terms across the grid. The scene and the target are not used.
     """
-    grid = tuple(int(m) for m in m_grid)
-    if not grid:
-        raise ValueError("m_grid must be nonempty")
-    curves = {}
-    for name in algorithms:
-        points = []
-        for m in sorted(grid):
-            k = k_snapshots if k_snapshots is not None else m
-            count = multiplication_count(
-                name, m, d=rank, b=branches, i_len=interp_len,
-                k_snapshots=k, iterations=iterations,
-            )
-            points.append(CurvePoint(m, count, 0.0, 1))
-        curves[name] = points
-    return ExperimentResult("complexity", "m", "multiplications", curves)
+    _require_kind(spec, "complexity")
+    sizes = dict(d=spec.rank, b=spec.branches, i_len=spec.interp_len, iterations=spec.iterations)
+    curves = {
+        name: [
+            CurvePoint(m, multiplication_count(name, m, **sizes), 0.0, 1) for m in sorted(spec.m_grid)
+        ]
+        for name in spec.algorithms
+        if name != "optimal"
+    }
+    return ExperimentResult(spec.kind, "m", "multiplications", curves)

@@ -49,12 +49,14 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0
 
 
-def _require_finite(spec) -> None:
-    """Reject a NaN or infinite float field of a scene dataclass, naming it."""
+def _require_finite(spec, error=ValueError) -> None:
+    """Raise ``error``, naming the field, if a float field of a dataclass, or a
+    float entry of one of its tuple fields, is NaN or infinite."""
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise error(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

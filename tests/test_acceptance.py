@@ -16,12 +16,13 @@ import pytest
 from stapbench import beamformers as bf
 from stapbench import evaluation as ev
 from stapbench import linalg, scene
+from stapbench.config_io import ExperimentSpec
 from stapbench.linalg import NumericalError
 
 CFG = scene.RadarConfig()
 TARGET = scene.TargetSpec(0.0, 100.0, 10.0)
 SEED = CFG.master_seed
-ALGS = ["optimal", "smi", "lr-evd", "lr-krylov", "lr-jio", "lr-jidf", "sa-mvdr", "ka-mvdr"]
+ALGS = ("optimal", "smi", "lr-evd", "lr-krylov", "lr-jio", "lr-jidf", "sa-mvdr", "ka-mvdr")
 
 
 def announce(label, ok, detail=""):
@@ -44,50 +45,50 @@ def sinr_at(result, name, k):
 @pytest.fixture(scope="module")
 def snapshot_sweep():
     start = time.monotonic()
-    result = ev.run_sinr_vs_snapshots(
-        CFG,
-        ALGS,
+    spec = ExperimentSpec(
+        algorithms=ALGS,
         k_max=800,
         runs=100,
         seed=SEED,
         k_grid=(25, 50, 100, 200, 400, 800),
-        target=TARGET,
         loading=0.01,
     )
+    result = ev.run_sinr_vs_snapshots(CFG, TARGET, spec)
     return result, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def detection_sweep():
     start = time.monotonic()
-    result = ev.run_pd_vs_snr(
-        CFG,
-        ["optimal", "smi", "lr-jio", "lr-jidf"],
+    spec = ExperimentSpec(
+        kind="pd-vs-snr",
+        algorithms=("optimal", "smi", "lr-jio", "lr-jidf"),
         snr_grid_db=tuple(np.arange(-4.0, 41.0, 1.0)),
         k_train=200,
         trials=100_000,
         pfa=1e-3,
         seed=SEED,
         designs=20,
-        target=TARGET,
         loading=0.01,
     )
+    result = ev.run_pd_vs_snr(CFG, TARGET, spec)
     return result, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def doppler_sweep():
-    result = ev.run_sinr_vs_doppler(
-        CFG,
-        ALGS,
-        doppler_grid=tuple(np.arange(-100.0, 101.0, 5.0)),
+    spec = ExperimentSpec(
+        kind="sinr-vs-doppler",
+        algorithms=ALGS,
+        doppler_min_hz=-100.0,
+        doppler_max_hz=100.0,
+        doppler_step_hz=5.0,
         k_train=100,
         runs=10,
         seed=SEED,
-        target=TARGET,
         loading=0.01,
     )
-    return result
+    return ev.run_sinr_vs_doppler(CFG, TARGET, spec)
 
 
 def snr_required_for_pd(result, name, level=0.9):
@@ -179,13 +180,15 @@ def test_clutter_notch(doppler_sweep):
 
 def test_complexity_ordering():
     start = time.monotonic()
-    result = ev.run_complexity_sweep(
-        ["smi", "lr-evd", "lr-krylov", "lr-jidf", "sa-mvdr", "ka-mvdr"],
+    spec = ExperimentSpec(
+        kind="complexity",
+        algorithms=("smi", "lr-evd", "lr-krylov", "lr-jidf", "sa-mvdr", "ka-mvdr"),
         m_grid=(32, 64, 128, 256),
         rank=6,
         branches=8,
         interp_len=8,
     )
+    result = ev.run_complexity_sweep(CFG, TARGET, spec)
     counts = {
         name: np.array([p.value for p in points], dtype=float)
         for name, points in result.curves.items()

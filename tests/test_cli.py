@@ -110,6 +110,12 @@ class TestExitCodes:
             ("num_sensors = 0\n", "num_sensors"),
             ("cnr_db = nan\n", "cnr_db"),
             (TOY_SCENE.replace("k_grid = 8, 16", "k_grid = 0, 16"), "k_grid"),
+            (TOY_SCENE.replace("k_grid = 8, 16", "k_grid = 8, 32"), "k_grid"),
+            (
+                TOY_SCENE.replace("kind = sinr-vs-snapshots", "kind = pd-vs-snr\nsnr_grid_db = 0, nan"),
+                "snr_grid_db",
+            ),
+            (TOY_SCENE + "doppler_min_hz = 50\ndoppler_max_hz = -50\n", "doppler_min_hz"),
         ):
             cfg_path.write_text(text)
             assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2

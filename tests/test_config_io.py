@@ -182,6 +182,16 @@ class TestExperimentSpec:
             ("snr_db", "[target]\nsnr_db = -inf\n"),
             ("evd_rank", "num_sensors = 2\nnum_pulses = 2\n[experiment]\nevd_rank = 5\n"),
             ("krylov_rank", "[experiment]\nkrylov_rank = 65\n"),
+            ("k_grid", "[experiment]\nk_max = 100\nk_grid = 50, 101\n"),
+            ("k_max", "[experiment]\nk_max = 0\n"),
+            ("doppler_min_hz", "[experiment]\ndoppler_min_hz = 50\ndoppler_max_hz = -50\n"),
+            ("m_grid", "[experiment]\nm_grid = 0, 64\n"),
+            ("sa_epsilon", "[experiment]\nsa_epsilon = nan\n"),
+            ("doppler_step_hz", "[experiment]\ndoppler_step_hz = nan\n"),
+            ("doppler_max_hz", "[experiment]\ndoppler_max_hz = inf\n"),
+            ("ka_alpha", "[experiment]\nka_alpha = nan\n"),
+            ("prior_velocity_fraction", "[experiment]\nprior_velocity_fraction = -inf\n"),
+            ("snr_grid_db", "[experiment]\nsnr_grid_db = 0, nan\n"),
         ):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)

@@ -1,6 +1,7 @@
 """Metric, detection and experiment-runner tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import digamma
 from stapbench import beamformers as bf
 from stapbench import evaluation as ev
 from stapbench import scene
-from stapbench.config_io import ConfigError, parse_config_text
+from stapbench.config_io import ConfigError, ExperimentSpec, parse_config_text
 from stapbench.linalg import NumericalError
 
 
@@ -118,8 +119,7 @@ def small_design_context():
         num_sensors=4, num_pulses=4, cnr_db=30.0,
         jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
     )
-    params = ev.AlgorithmParams()
-    ctx = ev._make_context(cfg, scene.TargetSpec(), 0.01, params, ev.ALGORITHMS)
+    ctx = ev._make_context(cfg, scene.TargetSpec(), ExperimentSpec())
     block = scene.draw_interference_block(ctx.cov, 40, np.random.default_rng(2))
     return ctx, scene.sample_covariance(block, 0.01), block
 
@@ -161,16 +161,26 @@ class TestAdaptiveRank:
         assert ev.adaptive_rank(800, 64) == 64  # capped at the dimension
 
 
+class TestRunnerTable:
+    def test_runner_rejects_another_kind(self):
+        for kind, runner in ev.RUNNERS.items():
+            for other in ev.RUNNERS:
+                if other != kind:
+                    spec = ExperimentSpec(kind=other)
+                    with pytest.raises(ValueError, match=f"{runner} runs '{kind}'"):
+                        getattr(ev, runner)(scene.RadarConfig(), scene.TargetSpec(), spec)
+
+
 class TestSinrVsSnapshots:
     def test_optimal_bound_is_flat_and_dominant(self):
         cfg = scene.RadarConfig(
             num_sensors=3, num_pulses=2, cnr_db=30.0,
             jammers=(scene.JammerSpec(-20.0, 30.0),), clutter_patches=61,
         )
-        result = ev.run_sinr_vs_snapshots(
-            cfg, ["optimal", "smi", "lr-jio"], k_max=48, runs=3, seed=5,
-            k_grid=(12, 24, 48),
+        spec = ExperimentSpec(
+            algorithms=("optimal", "smi", "lr-jio"), k_max=48, runs=3, seed=5, k_grid=(12, 24, 48)
         )
+        result = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), spec)
         optimal = [p.value for p in result.curves["optimal"]]
         assert max(optimal) - min(optimal) < 1e-9
         for name in ("smi", "lr-jio"):
@@ -179,16 +189,16 @@ class TestSinrVsSnapshots:
 
     def test_deterministic_given_seed(self):
         cfg = noise_only_cfg(num_sensors=2, num_pulses=2)
-        kwargs = dict(k_max=16, runs=2, seed=9, k_grid=(8, 16))
-        a = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs)
-        b = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs)
+        spec = ExperimentSpec(algorithms=("smi",), k_max=16, runs=2, seed=9, k_grid=(8, 16))
+        a = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), spec)
+        b = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), spec)
         assert [p.value for p in a.curves["smi"]] == [p.value for p in b.curves["smi"]]
 
     def test_workers_do_not_change_results(self):
         cfg = noise_only_cfg()
-        kwargs = dict(k_max=16, runs=4, seed=9, k_grid=(8, 16))
-        serial = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs, workers=1)
-        threaded = ev.run_sinr_vs_snapshots(cfg, ["smi"], **kwargs, workers=4)
+        spec = ExperimentSpec(algorithms=("smi",), k_max=16, runs=4, seed=9, k_grid=(8, 16))
+        serial = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), replace(spec, threads=1))
+        threaded = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), replace(spec, threads=4))
         assert [p.value for p in serial.curves["smi"]] == [
             p.value for p in threaded.curves["smi"]
         ]
@@ -203,9 +213,8 @@ class TestSinrVsSnapshots:
             return real(name, ctx, r_hat, block)
 
         monkeypatch.setattr(ev, "design_algorithm", flaky)
-        result = ev.run_sinr_vs_snapshots(
-            cfg, ["smi", "optimal"], k_max=8, runs=2, seed=1, k_grid=(8,)
-        )
+        spec = ExperimentSpec(algorithms=("smi", "optimal"), k_max=8, runs=2, seed=1, k_grid=(8,))
+        result = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), spec)
         assert result.failures["smi"] == 2
         assert result.failures["optimal"] == 0
         assert result.curves["smi"][0].count == 0
@@ -222,15 +231,15 @@ class TestSinrVsSnapshots:
             return w
 
         monkeypatch.setattr(ev, "design_algorithm", nan_design)
-        result = ev.run_sinr_vs_snapshots(
-            cfg, ["ka-mvdr", "smi"], k_max=16, runs=2, seed=1, k_grid=(8, 16)
-        )
+        spec = ExperimentSpec(algorithms=("ka-mvdr", "smi"), k_max=16, runs=2, seed=1, k_grid=(8, 16))
+        result = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), spec)
         assert result.failures == {"ka-mvdr": 4, "smi": 0}
         assert [p.count for p in result.curves["ka-mvdr"]] == [0, 0]
-        pd = ev.run_pd_vs_snr(
-            cfg, ["ka-mvdr", "smi"], snr_grid_db=(0.0, 10.0), k_train=8, trials=40,
-            pfa=1e-2, seed=1, designs=4,
+        pd_spec = ExperimentSpec(
+            kind="pd-vs-snr", algorithms=("ka-mvdr", "smi"), snr_grid_db=(0.0, 10.0), k_train=8,
+            trials=40, pfa=1e-2, seed=1, designs=4,
         )
+        pd = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), pd_spec)
         assert pd.failures == {"ka-mvdr": 4, "smi": 0}
         assert [p.count for p in pd.curves["ka-mvdr"]] == [0, 0]
         assert [p.count for p in pd.curves["smi"]] == [40, 40]
@@ -244,10 +253,10 @@ class TestSmiLossLaw:
         # the mean share, 10*log10((K+2-M)/(K+1)), is a different number.
         cfg = scene.RadarConfig()
         m, runs = cfg.size, 400
-        result = ev.run_sinr_vs_snapshots(
-            cfg, ["optimal", "smi"], k_max=400, runs=runs, seed=cfg.master_seed,
-            k_grid=(80, 100, 200, 400), loading=0.0,
+        spec = ExperimentSpec(
+            algorithms=("optimal", "smi"), k_max=400, runs=runs, k_grid=(80, 100, 200, 400), loading=0.0
         )
+        result = ev.run_sinr_vs_snapshots(cfg, scene.TargetSpec(), spec)
         optimal = result.curves["optimal"][0].value
         for point in result.curves["smi"]:
             expect = 10.0 / math.log(10.0) * (digamma(point.x - m + 2) - digamma(point.x + 1))
@@ -259,31 +268,40 @@ class TestSmiLossLaw:
 class TestSinrVsDoppler:
     def test_noise_only_curve_is_flat(self):
         cfg = noise_only_cfg(num_sensors=2, num_pulses=4, prf_hz=300.0)
-        result = ev.run_sinr_vs_doppler(
-            cfg, ["optimal"], doppler_grid=np.arange(-100.0, 101.0, 25.0),
-            k_train=32, runs=1, seed=3,
+        spec = ExperimentSpec(
+            kind="sinr-vs-doppler", algorithms=("optimal",), doppler_min_hz=-100.0,
+            doppler_max_hz=100.0, doppler_step_hz=25.0, k_train=32, runs=1, seed=3,
         )
+        result = ev.run_sinr_vs_doppler(cfg, scene.TargetSpec(), spec)
         values = [p.value for p in result.curves["optimal"]]
         assert max(values) - min(values) < 1e-9
 
     def test_clutter_notch_at_ridge(self):
-        result = ev.run_sinr_vs_doppler(
-            scene.RadarConfig(), ["optimal"], doppler_grid=np.arange(-100.0, 101.0, 5.0),
-            k_train=64, runs=1, seed=3,
+        spec = ExperimentSpec(
+            kind="sinr-vs-doppler", algorithms=("optimal",), doppler_min_hz=-100.0,
+            doppler_max_hz=100.0, doppler_step_hz=5.0, k_train=64, runs=1, seed=3,
         )
+        result = ev.run_sinr_vs_doppler(scene.RadarConfig(), scene.TargetSpec(), spec)
         points = result.curves["optimal"]
         fds = [p.x for p in points]
         values = [p.value for p in points]
         assert abs(fds[int(np.argmin(values))]) <= 5.0
 
     def test_optimal_curve_symmetry(self):
-        result = ev.run_sinr_vs_doppler(
-            scene.RadarConfig(), ["optimal"], doppler_grid=np.arange(-100.0, 101.0, 5.0),
-            k_train=64, runs=1, seed=4,
+        spec = ExperimentSpec(
+            kind="sinr-vs-doppler", algorithms=("optimal",), doppler_min_hz=-100.0,
+            doppler_max_hz=100.0, doppler_step_hz=5.0, k_train=64, runs=1, seed=4,
         )
+        result = ev.run_sinr_vs_doppler(scene.RadarConfig(), scene.TargetSpec(), spec)
         values = [p.value for p in result.curves["optimal"]]
         for left, right in zip(values, values[::-1]):
             assert abs(left - right) <= 0.5
+
+
+SMALL_PD_SPEC = ExperimentSpec(
+    kind="pd-vs-snr", algorithms=("optimal", "smi"), snr_grid_db=tuple(np.arange(-10.0, 21.0, 2.0)),
+    k_train=24, trials=60_000, pfa=1e-2, seed=11, designs=6,
+)
 
 
 @pytest.fixture(scope="module")
@@ -292,11 +310,7 @@ def small_pd():
         num_sensors=3, num_pulses=2, cnr_db=20.0,
         jammers=(scene.JammerSpec(40.0, 20.0),), clutter_patches=61,
     )
-    result = ev.run_pd_vs_snr(
-        cfg, ["optimal", "smi"], snr_grid_db=np.arange(-10.0, 21.0, 2.0),
-        k_train=24, trials=60_000, pfa=1e-2, seed=11, designs=6,
-    )
-    return cfg, result
+    return cfg, ev.run_pd_vs_snr(cfg, scene.TargetSpec(), SMALL_PD_SPEC)
 
 
 class TestPdVsSnr:
@@ -327,10 +341,7 @@ class TestPdVsSnr:
 
     def test_deterministic(self, small_pd):
         cfg, result = small_pd
-        again = ev.run_pd_vs_snr(
-            cfg, ["optimal", "smi"], snr_grid_db=np.arange(-10.0, 21.0, 2.0),
-            k_train=24, trials=60_000, pfa=1e-2, seed=11, designs=6,
-        )
+        again = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), SMALL_PD_SPEC)
         assert [p.value for p in again.curves["smi"]] == [p.value for p in result.curves["smi"]]
 
 
@@ -353,15 +364,20 @@ class TestEmpiricalFalseAlarm:
         assert abs(rate - pfa) <= 3 * se
 
 
+def complexity_sweep(algorithms, m_grid):
+    spec = ExperimentSpec(kind="complexity", algorithms=algorithms, m_grid=m_grid)
+    return ev.run_complexity_sweep(scene.RadarConfig(), scene.TargetSpec(), spec)
+
+
 class TestComplexitySweep:
     def test_row_counts(self):
-        result = ev.run_complexity_sweep(["smi", "lr-jidf"], m_grid=(32, 64))
+        result = complexity_sweep(("smi", "lr-jidf"), m_grid=(32, 64))
         rows = list(result.rows())
         assert len(rows) == 4
 
     def test_fast_methods_below_cubic_methods(self):
-        algorithms = ["smi", "lr-evd", "lr-krylov", "lr-jidf", "sa-mvdr", "ka-mvdr"]
-        result = ev.run_complexity_sweep(algorithms, m_grid=(32, 64, 128, 256))
+        algorithms = ("smi", "lr-evd", "lr-krylov", "lr-jidf", "sa-mvdr", "ka-mvdr")
+        result = complexity_sweep(algorithms, m_grid=(32, 64, 128, 256))
         by_alg = {
             name: [p.value for p in points]
             for name, points in result.curves.items()
@@ -372,7 +388,7 @@ class TestComplexitySweep:
                     assert cheap < costly, (fast, slow)
 
     def test_smi_scaling_is_cubic(self):
-        result = ev.run_complexity_sweep(["smi"], m_grid=(256, 512, 1024, 2048))
+        result = complexity_sweep(("smi",), m_grid=(256, 512, 1024, 2048))
         counts = [p.value for p in result.curves["smi"]]
         ratios = [b / a for a, b in zip(counts, counts[1:])]
         assert all(abs(r - 8.0) < 0.6 for r in ratios)
