@@ -460,7 +460,6 @@ def ka_mvdr_weights(
     mode: str = "optimal_eta",
     alpha: float | None = None,
     eta: float | None = None,
-    r_ref=None,
 ) -> BeamformerWeights:
     """Knowledge-aided minimum-variance weights.
 
@@ -469,9 +468,9 @@ def ka_mvdr_weights(
             alpha*R_prior + (1-alpha)*R_hat.
         ``fixed_eta``: blend the two solutions,
             w proportional to eta*R_prior^-1 s + (1-eta)*R_hat^-1 s.
-        ``optimal_eta``: pick eta minimizing the output power against a
-            reference covariance ``r_ref`` (defaults to ``r_hat``, the best
-            available stand-in for the unknown truth), clamped to [0, 1];
+        ``optimal_eta``: pick eta minimizing the output power against
+            ``r_hat``, the best available stand-in for the unknown truth,
+            clamped to [0, 1];
             a vanishing curvature falls back to eta = 0.5 with a flag.
     """
     s = np.asarray(s, dtype=complex)
@@ -488,7 +487,7 @@ def ka_mvdr_weights(
     data_dir = linalg.hpd_solve(r_hat, s)
     prior_dir = linalg.hpd_solve(prior.r_prior, s)
     if mode == "optimal_eta":
-        reference = np.asarray(r_hat if r_ref is None else r_ref, dtype=complex)
+        reference = np.asarray(r_hat, dtype=complex)
         diff = prior_dir - data_dir
         curvature = float((diff.conj() @ reference @ diff).real)
         if curvature <= 1e-300:

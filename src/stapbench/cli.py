@@ -33,7 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     parser.add_argument("--runs", type=int, metavar="N", help="override the Monte-Carlo run count")
     parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    parser.add_argument("--threads", type=int, metavar="N", help="worker threads (default 1)")
     return parser
 
 

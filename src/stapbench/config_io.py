@@ -46,7 +46,6 @@ class ExperimentSpec(AlgorithmParams):
     seed: int | None = None  # None -> scene master_seed
     out_dir: str = "."
     failure_budget: float = 0.01
-    threads: int = 1
 
     def __post_init__(self):
         scene._require_finite(self, ConfigError)
@@ -84,8 +83,23 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"loading must be >= 0, got {self.loading}")
         if not 0.0 <= self.failure_budget <= 1.0:
             raise ConfigError(f"failure_budget must be in [0, 1], got {self.failure_budget}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key in ("rank", "branches", "interp_len", "iterations"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.evd_selection not in ("pc", "csm"):
+            raise ConfigError(f"evd_selection must be 'pc' or 'csm', got {self.evd_selection!r}")
+        ka_modes = ("fixed_alpha", "fixed_eta", "optimal_eta")
+        if self.ka_mode not in ka_modes:
+            raise ConfigError(f"ka_mode must be one of {ka_modes}, got {self.ka_mode!r}")
+        if self.sa_penalty is not None and self.sa_penalty < 0.0:
+            raise ConfigError(f"sa_penalty must be >= 0, got {self.sa_penalty}")
+        if self.sa_epsilon <= 0.0:
+            raise ConfigError(f"sa_epsilon must be > 0, got {self.sa_epsilon}")
+        for key in ("ka_alpha", "ka_eta"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must be in [0, 1], got {getattr(self, key)}")
 
     def doppler_grid(self) -> tuple:
         grid, value = [], self.doppler_min_hz

@@ -5,11 +5,10 @@ output SINR against training-set size, output SINR against target Doppler,
 detection probability against SNR, and arithmetic cost against problem size.
 All Monte-Carlo paths are bit-reproducible given (seed, configuration): every
 run owns a private generator seeded by (seed, run_index), and results are
-merged by run index regardless of worker scheduling.
+merged by run index.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -324,9 +323,8 @@ def _make_context(cfg, target, spec) -> DesignContext:
 # experiment kind -> name of its runner in this module. Every runner takes
 # (cfg, target, spec): the scene, the target, and an ExperimentSpec of the
 # runner's kind, validated when it was built, which supplies the grid, the run
-# counts, the design hyperparameters, the worker count (``threads``) and the
-# seed. The name is looked up at call time, so that a wrapper installed on a
-# runner sees every call.
+# counts, the design hyperparameters and the seed. The name is looked up at
+# call time, so that a wrapper installed on a runner sees every call.
 RUNNERS = {
     "sinr-vs-snapshots": "run_sinr_vs_snapshots",
     "sinr-vs-doppler": "run_sinr_vs_doppler",
@@ -346,13 +344,6 @@ def _start(kind: str, cfg, target, spec):
     _require_kind(spec, kind)
     seed = spec.seed if spec.seed is not None else cfg.master_seed
     return _make_context(cfg, target, spec), seed
-
-
-def _parallel_map(fn, count: int, workers: int) -> list:
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _aggregate(kind, x_label, metric_label, algorithms, grid, samples, trials=None) -> ExperimentResult:
@@ -428,7 +419,7 @@ def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec
                     pass  # the NaN left in place counts as a failed design
         return values
 
-    samples = _parallel_map(one_run, spec.runs, spec.threads)
+    samples = [one_run(i) for i in range(spec.runs)]
     return _aggregate(spec.kind, "snapshots", "sinr_db", algorithms, grid, samples)
 
 
@@ -462,7 +453,7 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
                     pass  # the NaN left in place counts as a failed design
         return values
 
-    samples = _parallel_map(one_run, spec.runs, spec.threads)
+    samples = [one_run(i) for i in range(spec.runs)]
     return _aggregate(spec.kind, "doppler_hz", "sinr_db", algorithms, grid, samples)
 
 
@@ -484,24 +475,22 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
     r_total = ctx.cov.r_total
     per_design = [spec.trials // designs] * designs
     per_design[0] += spec.trials - sum(per_design)
-    log_inv_pfa = math.log(1.0 / spec.pfa)
     amp = np.sqrt(cfg.noise_power * 10.0 ** (np.asarray(grid) / 10.0) * m)
 
     def one_design(didx: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, didx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
         r_hat = scene.sample_covariance(block, spec.loading)
-        weights, mus, gains = [], [], []
+        weights, thresholds, gains = [], [], []
         for name in algorithms:
             try:
                 w = design_algorithm(name, ctx, r_hat, block).w
             except (NumericalError, np.linalg.LinAlgError):
                 w = np.full(m, np.nan, dtype=complex)
             weights.append(w)
-            mus.append(float((w.conj() @ r_total @ w).real))
+            thresholds.append(detection_threshold(w, r_total, spec.pfa))
             gains.append(complex(w.conj() @ s))
         wmat = np.stack(weights)  # (algs, m)
-        thresholds = np.asarray(mus) * log_inv_pfa
         detections = np.zeros((len(algorithms), len(grid)), dtype=np.int64)
         remaining = per_design[didx]
         chunk_size = 8192
@@ -516,11 +505,11 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
                 stat = np.abs(amp[gi] * target_part + g) ** 2
                 detections[:, gi] += (stat > np.asarray(thresholds)[:, None]).sum(axis=1)
         counts = detections.astype(float)
-        # a design that failed, or whose output power is not finite, is a failure
-        counts[~np.isfinite(mus)] = np.nan
+        # a design that failed, or whose threshold is not finite, is a failure
+        counts[~np.isfinite(thresholds)] = np.nan
         return counts
 
-    samples = _parallel_map(one_design, designs, spec.threads)
+    samples = [one_design(i) for i in range(designs)]
     return _aggregate(
         spec.kind, "snr_db", "pd", algorithms, grid, samples, trials=np.asarray(per_design)
     )

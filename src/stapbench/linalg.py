@@ -18,7 +18,6 @@ __all__ = [
     "hpd_solve",
     "hankel_from_vector",
     "covariance_factor",
-    "colored_sample",
     "complex_standard_normal",
 ]
 
@@ -157,20 +156,3 @@ def covariance_factor(r) -> np.ndarray:
 def complex_standard_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     """Circular complex standard normal draws: E[z z*] = 1 per entry."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def colored_sample(r, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw circular complex Gaussian vectors with covariance ``r``.
-
-    Args:
-        r: Hermitian PSD covariance.
-        rng: caller-owned generator (never shared across workers).
-        size: None for a single length-M vector, otherwise the number of
-            columns of the returned (M, size) block.
-
-    The sample covariance over many draws converges to ``r``.
-    """
-    factor = covariance_factor(r)
-    m = factor.shape[0]
-    shape = (m,) if size is None else (m, size)
-    return factor @ complex_standard_normal(rng, shape)

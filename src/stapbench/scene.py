@@ -128,6 +128,8 @@ class RadarConfig:
             raise ValueError(f"clutter_patches must be >= 1, got {self.clutter_patches}")
         if self.range_ambiguities < 1:
             raise ValueError(f"range_ambiguities must be >= 1, got {self.range_ambiguities}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     @property
     def wavelength_m(self) -> float:

@@ -1,89 +1,12 @@
-"""File formats: covariance/weight binaries, CSV tables, plot data.
+"""File formats: CSV tables and plot data."""
 
-The binary matrix format is self-describing: magic ``STAPCOV1``, then rows
-and cols as 64-bit little-endian unsigned integers, then the entries in
-row-major order as interleaved real/imaginary 64-bit floats.
-"""
-
-import json
-import struct
 from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "MATRIX_MAGIC",
-    "write_matrix",
-    "read_matrix",
-    "export_weights",
-    "write_csv",
-    "write_xy",
-]
+__all__ = ["write_csv", "write_xy"]
 
-MATRIX_MAGIC = b"STAPCOV1"
 CSV_HEADER = ("algorithm", "x_value", "metric", "std", "runs")
-
-
-def write_matrix(path, matrix) -> None:
-    """Write a complex matrix (or column vector) in the binary format."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    payload = np.empty(a.size * 2, dtype="<f8")
-    payload[0::2] = a.real.ravel()
-    payload[1::2] = a.imag.ravel()
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-        fh.write(payload.tobytes())
-
-
-def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MATRIX_MAGIC))
-        if magic != MATRIX_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        payload = np.frombuffer(fh.read(rows * cols * 16), dtype="<f8")
-    if payload.size != rows * cols * 2:
-        raise ValueError(f"{path}: truncated payload")
-    return (payload[0::2] + 1j * payload[1::2]).reshape(rows, cols)
-
-
-def export_weights(path_base, weights) -> tuple[Path, Path]:
-    """Write a weight vector as an M x 1 binary matrix plus a JSON sidecar.
-
-    The sidecar records the algorithm tag, rank and hyperparameters.
-    Returns (binary_path, sidecar_path).
-    """
-    base = Path(path_base)
-    bin_path = base.with_suffix(".stapw")
-    meta_path = base.with_suffix(".json")
-    write_matrix(bin_path, np.asarray(weights.w, dtype=complex)[:, None])
-    meta = {
-        "algorithm": weights.algorithm,
-        "rank_d": weights.rank_d,
-        "hyperparams": _jsonable(weights.hyperparams),
-        "multiplication_count": weights.multiplication_count,
-        "length": int(np.asarray(weights.w).size),
-    }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    return bin_path, meta_path
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
 
 
 def _fmt(value) -> str:

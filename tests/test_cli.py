@@ -59,14 +59,6 @@ class TestDeterminism:
             dat = f"sinr-vs-snapshots_{alg}.dat"
             assert read(out1 / dat) == read(out2 / dat)
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg_path = tmp_path / "s.cfg"
-        cfg_path.write_text(TOY_SCENE)
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        assert cli.main(["--config", str(cfg_path), "--out", str(out1), "--threads", "1"]) == 0
-        assert cli.main(["--config", str(cfg_path), "--out", str(out2), "--threads", "4"]) == 0
-        assert read(out1 / "sinr-vs-snapshots.csv") == read(out2 / "sinr-vs-snapshots.csv")
-
     def test_blas_thread_count_does_not_change_metrics(self, tmp_path):
         # every K >= M: below K = M, lr-evd picks eigenvectors out of a degenerate
         # eigenspace of the sample covariance, and those depend on the BLAS threading
@@ -103,8 +95,19 @@ class TestSmokeRuntime:
         assert time.monotonic() - start < 5.0
 
 
+def refuse_runs(monkeypatch):
+    """Make starting an experiment fail the test: bad input must stop before it."""
+    from stapbench import evaluation as ev
+
+    def started(*args):
+        raise AssertionError("an experiment started")
+
+    monkeypatch.setattr(ev, "_make_context", started)
+
+
 class TestExitCodes:
-    def test_validation_failure_is_two(self, tmp_path, capsys):
+    def test_validation_failure_is_two(self, tmp_path, capsys, monkeypatch):
+        refuse_runs(monkeypatch)
         cfg_path = tmp_path / "bad.cfg"
         for text, key in (
             ("num_sensors = 0\n", "num_sensors"),
@@ -116,11 +119,27 @@ class TestExitCodes:
                 "snr_grid_db",
             ),
             (TOY_SCENE + "doppler_min_hz = 50\ndoppler_max_hz = -50\n", "doppler_min_hz"),
+            (TOY_SCENE.replace("lr-jio", "lr-jidf") + "branches = 0\n", "branches"),
+            (TOY_SCENE.replace("lr-jio", "ka-mvdr") + "ka_eta = 5\n", "ka_eta"),
         ):
             cfg_path.write_text(text)
             assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
             assert key in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_is_two(self, tmp_path, capsys, monkeypatch):
+        refuse_runs(monkeypatch)
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(TOY_SCENE.replace("seed = 4\n", ""))
+        assert cli.main(["--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        monkeypatch.setenv("STAP_BENCH_SEED", "-3")
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        assert "seed" in capsys.readouterr().err
+        monkeypatch.delenv("STAP_BENCH_SEED")
+        cfg_path.write_text("master_seed = -5\n" + TOY_SCENE.replace("seed = 4\n", ""))
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        assert "master_seed" in capsys.readouterr().err
 
     def test_missing_config_is_two(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 2

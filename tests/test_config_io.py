@@ -192,6 +192,18 @@ class TestExperimentSpec:
             ("ka_alpha", "[experiment]\nka_alpha = nan\n"),
             ("prior_velocity_fraction", "[experiment]\nprior_velocity_fraction = -inf\n"),
             ("snr_grid_db", "[experiment]\nsnr_grid_db = 0, nan\n"),
+            ("rank", "[experiment]\nrank = 0\n"),
+            ("branches", "[experiment]\nbranches = 0\n"),
+            ("interp_len", "[experiment]\ninterp_len = 0\n"),
+            ("iterations", "[experiment]\niterations = 0\n"),
+            ("evd_selection", "[experiment]\nevd_selection = bogus\n"),
+            ("ka_mode", "[experiment]\nka_mode = bogus\n"),
+            ("sa_penalty", "[experiment]\nsa_penalty = -1\n"),
+            ("sa_epsilon", "[experiment]\nsa_epsilon = 0\n"),
+            ("ka_alpha", "[experiment]\nka_alpha = -0.5\n"),
+            ("ka_eta", "[experiment]\nka_eta = 5\n"),
+            ("seed", "[experiment]\nseed = -1\n"),
+            ("master_seed", "master_seed = -5\n"),
         ):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)

@@ -149,21 +149,23 @@ class TestHankel:
             linalg.hankel_from_vector(np.ones(3), 0)
 
 
-class TestColoredSample:
-    def test_zero_covariance(self):
-        out = linalg.colored_sample(np.zeros((3, 3)), np.random.default_rng(0))
-        np.testing.assert_allclose(out, 0.0)
+def draw(r, rng, count):
+    """(M, count) snapshot block with covariance ``r``, drawn as the scene draws."""
+    zero = np.zeros_like(r)
+    return scene.draw_interference_block(scene.CovarianceSet(zero, zero, zero, r), count, rng)
 
+
+class TestColoredSample:
     def test_white_per_entry_variance(self):
         rng = np.random.default_rng(21)
         sigma2 = 2.5
-        draws = linalg.colored_sample(sigma2 * np.eye(4), rng, size=100_000)
+        draws = draw(sigma2 * np.eye(4), rng, 100_000)
         variances = np.mean(np.abs(draws) ** 2, axis=1)
         np.testing.assert_allclose(variances, sigma2, rtol=0.05)
 
     def test_diagonal_variances(self):
         rng = np.random.default_rng(22)
-        draws = linalg.colored_sample(np.diag([4.0, 1.0]), rng, size=100_000)
+        draws = draw(np.diag([4.0, 1.0]), rng, 100_000)
         np.testing.assert_allclose(np.mean(np.abs(draws) ** 2, axis=1), [4.0, 1.0], rtol=0.05)
 
     def test_empirical_covariance_entrywise(self):
@@ -176,7 +178,7 @@ class TestColoredSample:
             ]
         )
         n = 100_000
-        draws = linalg.colored_sample(r, rng, size=n)
+        draws = draw(r, rng, n)
         emp = draws @ draws.conj().T / n
         scale = np.sqrt(np.outer(np.diag(r).real, np.diag(r).real))
         assert np.all(np.abs(emp - r) <= 3.0 * 5.0 * scale / np.sqrt(n))

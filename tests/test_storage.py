@@ -1,68 +1,6 @@
-"""File-format tests: binary matrices, weight export, CSV and plot files."""
-
-import json
-import struct
-
-import numpy as np
-import pytest
+"""File-format tests: CSV and plot files."""
 
 from stapbench import storage
-from stapbench.beamformers import BeamformerWeights
-
-
-class TestMatrixFormat:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        path = tmp_path / "cov.bin"
-        storage.write_matrix(path, a)
-        np.testing.assert_array_equal(storage.read_matrix(path), a)
-
-    def test_byte_layout(self, tmp_path):
-        path = tmp_path / "m.bin"
-        storage.write_matrix(path, np.array([[1.0 + 2.0j, 3.0 - 4.0j]]))
-        raw = path.read_bytes()
-        assert raw[:8] == b"STAPCOV1"
-        rows, cols = struct.unpack("<QQ", raw[8:24])
-        assert (rows, cols) == (1, 2)
-        floats = struct.unpack("<4d", raw[24:])
-        assert floats == (1.0, 2.0, 3.0, -4.0)
-
-    def test_vector_becomes_column(self, tmp_path):
-        path = tmp_path / "v.bin"
-        storage.write_matrix(path, np.array([1.0, 2.0]))
-        out = storage.read_matrix(path)
-        assert out.shape == (2, 1)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
-        with pytest.raises(ValueError, match="magic"):
-            storage.read_matrix(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        path = tmp_path / "cut.bin"
-        storage.write_matrix(path, np.eye(3))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            storage.read_matrix(path)
-
-
-class TestWeightExport:
-    def test_binary_and_sidecar(self, tmp_path):
-        w = BeamformerWeights(
-            np.array([0.5, -0.5j]), "lr-jio", rank_d=2,
-            hyperparams={"iterations": 5}, multiplication_count=123,
-        )
-        bin_path, meta_path = storage.export_weights(tmp_path / "w", w)
-        out = storage.read_matrix(bin_path)
-        np.testing.assert_array_equal(out.ravel(), w.w)
-        meta = json.loads(meta_path.read_text())
-        assert meta["algorithm"] == "lr-jio"
-        assert meta["rank_d"] == 2
-        assert meta["hyperparams"] == {"iterations": 5}
-        assert meta["multiplication_count"] == 123
-        assert meta["length"] == 2
 
 
 class TestCsv:
