@@ -156,6 +156,11 @@ def draw(r, rng, count):
 
 
 class TestColoredSample:
+    def test_zero_covariance(self):
+        out = draw(np.zeros((3, 3)), np.random.default_rng(0), 1)
+        assert out.shape == (3, 1)
+        np.testing.assert_allclose(out, 0.0)
+
     def test_white_per_entry_variance(self):
         rng = np.random.default_rng(21)
         sigma2 = 2.5
