@@ -179,7 +179,7 @@ def _orthonormal_from(pool: list[np.ndarray], rank: int) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def jio_design(r, s, rank: int, iterations: int = 5) -> tuple[RankReduction, BeamformerWeights]:
+def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, BeamformerWeights]:
     """Joint iterative optimization of the basis and the reduced weight.
 
     Alternates two updates driven by the constrained output-power cost. The
@@ -257,7 +257,7 @@ def valid_branch_count(m: int, rank: int, requested: int) -> int:
         except ValueError:
             break
         count += 1
-    return max(count, 1)
+    return count
 
 
 @dataclass
@@ -298,7 +298,7 @@ def jidf_design(
     branches: int,
     interp_len: int,
     rank: int,
-    iterations: int = 5,
+    iterations: int,
 ) -> tuple[JidfDesign, BeamformerWeights]:
     """Joint interpolation, decimation and filtering design.
 
@@ -380,13 +380,16 @@ def jidf_design(
     return design, weights
 
 
+# relative weight change at which the sparsity-aware reweighting stops early
+SA_TOLERANCE = 1e-8
+
+
 def sa_mvdr_weights(
     r,
     s,
     penalty: float,
     epsilon: float = 0.1,
     iterations: int = 10,
-    tol: float = 1e-8,
 ) -> BeamformerWeights:
     """Sparsity-aware minimum-variance design by iterative reweighting.
 
@@ -394,7 +397,7 @@ def sa_mvdr_weights(
     w^H diag(1/(|w|+eps)) w, refreshed from the previous iterate: each pass
     solves w = (R + penalty*Lambda)^-1 s, normalized to w^H s = 1. Starts
     from the unpenalized solution; stops at the iteration budget or when the
-    relative weight change drops below ``tol``.
+    relative weight change drops below ``SA_TOLERANCE``.
     """
     if penalty < 0:
         raise ValueError("penalty must be >= 0")
@@ -415,7 +418,7 @@ def sa_mvdr_weights(
             w_new = x / (s.conj() @ x)
             change = np.linalg.norm(w_new - w) / max(np.linalg.norm(w), 1e-300)
             w = w_new
-            if change <= tol:
+            if change <= SA_TOLERANCE:
                 break
     return BeamformerWeights(
         w, "sa-mvdr", hyperparams={"penalty": penalty, "epsilon": epsilon, "iterations_run": used}

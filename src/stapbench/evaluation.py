@@ -57,7 +57,6 @@ class ExperimentResult:
     """Tabulated metric curves with per-algorithm bookkeeping."""
 
     kind: str
-    x_label: str
     metric_label: str
     curves: dict
     failures: dict = field(default_factory=dict)
@@ -231,7 +230,7 @@ def _design_lr_jidf(ctx: DesignContext, r_hat, block):
 def _design_sa_mvdr(ctx: DesignContext, r_hat, block):
     p = ctx.params
     penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, block)
-    return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon), {}
+    return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon), {"iterations": p.iterations}
 
 
 def _design_ka_mvdr(ctx: DesignContext, r_hat, block):
@@ -283,6 +282,21 @@ def multiplication_count(
     solves D^3. The branch scheme never forms an M x M covariance, which is
     where its advantage comes from. Without ``k_snapshots`` the training set
     scales with the problem (K = M).
+
+    The formulas are the paper's cost model, not a trace of this code. They
+    leave out:
+
+    * ``lr-jio``: the M x M ridge solve (R + delta*I)^-1 s that every
+      iteration of :func:`beamformers.jio_design` makes;
+    * ``sa-mvdr``: the split-sample penalty search, two more sample
+      covariances and up to 4 x 11 solves; its ``iterations`` is the
+      experiment's ``iterations``, not the reweighting budget of up to 10
+      passes that :func:`beamformers.sa_mvdr_weights` runs;
+    * ``smi``/``optimal``: they are charged K*M^2 for the covariance estimate,
+      which the runners form once per grid point and share across designs;
+    * ``lr-jio``/``lr-jidf``: they count a batch alternation over the whole
+      training block, not the per-snapshot recursions of de Lamare &
+      Sampaio-Neto (2009) and Fa, de Lamare & Wang (2011).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -346,7 +360,7 @@ def _start(kind: str, cfg, target, spec):
     return _make_context(cfg, target, spec), seed
 
 
-def _aggregate(kind, x_label, metric_label, algorithms, grid, samples, trials=None) -> ExperimentResult:
+def _aggregate(kind, metric_label, algorithms, grid, samples, trials=None) -> ExperimentResult:
     """Curves from per-run samples of shape (runs, algorithms, grid).
 
     A non-finite sample marks a failed design: it is counted as a failure and
@@ -378,7 +392,7 @@ def _aggregate(kind, x_label, metric_label, algorithms, grid, samples, trials=No
             failures[name], designs[name] = int((~ok).sum()), runs * len(grid)
         else:
             failures[name], designs[name] = int((~ok).any(axis=1).sum()), runs
-    return ExperimentResult(kind, x_label, metric_label, curves, failures, designs)
+    return ExperimentResult(kind, metric_label, curves, failures, designs)
 
 
 def _default_k_grid(k_max: int) -> tuple[int, ...]:
@@ -420,7 +434,7 @@ def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec
         return values
 
     samples = [one_run(i) for i in range(spec.runs)]
-    return _aggregate(spec.kind, "snapshots", "sinr_db", algorithms, grid, samples)
+    return _aggregate(spec.kind, "sinr_db", algorithms, grid, samples)
 
 
 def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -454,7 +468,7 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
         return values
 
     samples = [one_run(i) for i in range(spec.runs)]
-    return _aggregate(spec.kind, "doppler_hz", "sinr_db", algorithms, grid, samples)
+    return _aggregate(spec.kind, "sinr_db", algorithms, grid, samples)
 
 
 def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -510,9 +524,7 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
         return counts
 
     samples = [one_design(i) for i in range(designs)]
-    return _aggregate(
-        spec.kind, "snr_db", "pd", algorithms, grid, samples, trials=np.asarray(per_design)
-    )
+    return _aggregate(spec.kind, "pd", algorithms, grid, samples, trials=np.asarray(per_design))
 
 
 def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -530,4 +542,4 @@ def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec)
         for name in spec.algorithms
         if name != "optimal"
     }
-    return ExperimentResult(spec.kind, "m", "multiplications", curves)
+    return ExperimentResult(spec.kind, "multiplications", curves)

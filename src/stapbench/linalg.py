@@ -30,7 +30,7 @@ class NumericalError(RuntimeError):
     """A numerically well-posed routine failed on the data it was given."""
 
 
-def require_hermitian(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate that ``a`` is square, finite and Hermitian within tolerance.
 
     Returns the exactly Hermitian symmetrization (a + a^H)/2 so downstream
@@ -38,7 +38,7 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> 
 
     Raises:
         ValueError: if ``a`` is not two-dimensional, not square, or deviates
-            from Hermitian symmetry by more than ``rtol * max|a|``.
+            from Hermitian symmetry by more than ``HERMITIAN_RTOL * max|a|``.
         NumericalError: if ``a`` has a NaN or infinite entry.
     """
     a = np.asarray(a, dtype=complex)
@@ -50,10 +50,10 @@ def require_hermitian(a, rtol: float = HERMITIAN_RTOL, name: str = "matrix") -> 
     if not math.isfinite(scale):
         raise NumericalError(f"{name} has a non-finite entry")
     deviation = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-    if deviation > max(rtol * scale, _ABS_FLOOR):
+    if deviation > max(HERMITIAN_RTOL * scale, _ABS_FLOOR):
         raise ValueError(
             f"{name} is not Hermitian: max asymmetry {deviation:.3e} "
-            f"exceeds {rtol:g} of scale {scale:.3e}"
+            f"exceeds {HERMITIAN_RTOL:g} of scale {scale:.3e}"
         )
     return 0.5 * (a + a.conj().T)
 

@@ -9,8 +9,7 @@ Conventions, fixed once here and relied on everywhere else:
 * N sensors, J pulses, M = J*N; a snapshot stacks sensor-major, i.e. entry
   n*J + j is sensor n at pulse j (spatial (x) temporal Kronecker order).
 * Normalized spatial frequency of an azimuth angle: (d/lambda)*sin(az), with
-  elevation folded flat (the platform height is retained in the config but
-  unused under this approximation).
+  elevation folded flat.
 * Clutter ridge: Doppler locked to angle through beta = 2*v/(d*prf).
 * SNR / CNR / JNR are per element, referenced to the noise power.
 * Steering vectors returned by :func:`target_steering` are unit-energy; the
@@ -99,7 +98,6 @@ class RadarConfig:
     carrier_frequency_hz: float = 450e6
     prf_hz: float = 300.0
     platform_velocity_mps: float = 75.0
-    platform_height_m: float = 9000.0
     num_sensors: int = 8
     num_pulses: int = 8
     element_spacing_m: float | None = None  # None -> half wavelength
@@ -107,7 +105,6 @@ class RadarConfig:
     noise_power: float = 1.0
     jammers: tuple[JammerSpec, ...] = _TABLE_JAMMERS
     clutter_patches: int = 361
-    range_ambiguities: int = 1
     master_seed: int = 1234
 
     def __post_init__(self):
@@ -126,8 +123,6 @@ class RadarConfig:
             raise ValueError("noise_power must be positive")
         if self.clutter_patches < 1:
             raise ValueError(f"clutter_patches must be >= 1, got {self.clutter_patches}")
-        if self.range_ambiguities < 1:
-            raise ValueError(f"range_ambiguities must be >= 1, got {self.range_ambiguities}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
@@ -208,9 +203,7 @@ def clutter_covariance(cfg: RadarConfig) -> np.ndarray:
 
     Each patch contributes an outer product of its space-time steering
     vector; per-patch powers are equal and scaled so that trace(Rc)/M equals
-    noise_power * 10^(cnr_db/10). Under the flat-earth ridge every range
-    ambiguity traces the same (angle, Doppler) set, so the trace-normalized
-    result is independent of range_ambiguities.
+    noise_power * 10^(cnr_db/10).
 
     Returns the zero matrix when ``cfg.cnr_db`` is None (clutter disabled).
     """
@@ -225,8 +218,6 @@ def clutter_covariance(cfg: RadarConfig) -> np.ndarray:
     # column p of u is kron(b[:, p], a[:, p]); each has squared norm M
     u = np.einsum("np,jp->njp", b, a).reshape(m, azimuths.size)
     clutter_power = cfg.noise_power * 10.0 ** (cfg.cnr_db / 10.0)
-    # N_r identical replicas, per-patch power clutter_power/(N_r*N_c): the
-    # replication cancels, leaving trace(rc)/M = clutter_power exactly
     rc = clutter_power / cfg.clutter_patches * (u @ u.conj().T)
     return 0.5 * (rc + rc.conj().T)
 
@@ -250,11 +241,8 @@ def noise_covariance(cfg: RadarConfig) -> np.ndarray:
 
 @dataclass
 class CovarianceSet:
-    """Clutter, jammer and noise covariances with their sum."""
+    """The interference-plus-noise covariance and its cached sampling factor."""
 
-    r_clutter: np.ndarray
-    r_jammer: np.ndarray
-    r_noise: np.ndarray
     r_total: np.ndarray
     _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -274,11 +262,8 @@ class CovarianceSet:
 
 
 def total_covariance(cfg: RadarConfig) -> CovarianceSet:
-    """Assemble the full interference-plus-noise covariance set."""
-    rc = clutter_covariance(cfg)
-    rj = jammer_covariance(cfg)
-    rn = noise_covariance(cfg)
-    return CovarianceSet(rc, rj, rn, rc + rj + rn)
+    """Sum the clutter, jammer and noise covariances of the scene."""
+    return CovarianceSet(clutter_covariance(cfg) + jammer_covariance(cfg) + noise_covariance(cfg))
 
 
 def draw_interference_block(cov: CovarianceSet, count: int, rng: np.random.Generator) -> np.ndarray:

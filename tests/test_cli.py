@@ -9,8 +9,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from stapbench import cli
+from stapbench import cli, evaluation
 
 
 def read(path):
@@ -47,17 +48,19 @@ class TestComplexityRun:
 
 
 class TestDeterminism:
-    def test_same_seed_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("kind", evaluation.RUNNERS)
+    def test_same_seed_byte_identical(self, tmp_path, kind):
         cfg_path = tmp_path / "s.cfg"
-        cfg_path.write_text(TOY_SCENE)
+        cfg_path.write_text(TOY_SCENE.replace("sinr-vs-snapshots", kind) + "trials = 2000\ndesigns = 2\n")
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert cli.main(["--config", str(cfg_path), "--out", str(out1)]) == 0
         assert cli.main(["--config", str(cfg_path), "--out", str(out2)]) == 0
-        name = "sinr-vs-snapshots.csv"
-        assert read(out1 / name) == read(out2 / name)
-        for alg in ("optimal", "smi", "lr-jio"):
-            dat = f"sinr-vs-snapshots_{alg}.dat"
-            assert read(out1 / dat) == read(out2 / dat)
+        # the complexity sweep has no curve for the clairvoyant bound
+        algorithms = ("smi", "lr-jio") if kind == "complexity" else ("optimal", "smi", "lr-jio")
+        names = sorted([f"{kind}.csv"] + [f"{kind}_{alg}.dat" for alg in algorithms])
+        assert sorted(p.name for p in out1.iterdir()) == names
+        for name in names:
+            assert read(out1 / name) == read(out2 / name)
 
     def test_blas_thread_count_does_not_change_metrics(self, tmp_path):
         # every K >= M: below K = M, lr-evd picks eigenvectors out of a degenerate
@@ -121,6 +124,8 @@ class TestExitCodes:
             (TOY_SCENE + "doppler_min_hz = 50\ndoppler_max_hz = -50\n", "doppler_min_hz"),
             (TOY_SCENE.replace("lr-jio", "lr-jidf") + "branches = 0\n", "branches"),
             (TOY_SCENE.replace("lr-jio", "ka-mvdr") + "ka_eta = 5\n", "ka_eta"),
+            ("platform_height_m = 9000\n", "platform_height_m"),
+            ("range_ambiguities = 2\n", "range_ambiguities"),
         ):
             cfg_path.write_text(text)
             assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2

@@ -20,7 +20,6 @@ class TestDefaults:
         assert cfg.carrier_frequency_hz == 450e6
         assert cfg.prf_hz == 300.0
         assert cfg.platform_velocity_mps == 75.0
-        assert cfg.platform_height_m == 9000.0
         assert cfg.cnr_db == 40.0
         assert [(j.azimuth_deg, j.jnr_db) for j in cfg.jammers] == [(-45.0, 40.0), (60.0, 40.0)]
         assert target == scene.TargetSpec()

@@ -1,6 +1,7 @@
 """Metric, detection and experiment-runner tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,12 +140,19 @@ class TestDesignTable:
                 d=p.rank, b=bf.valid_branch_count(16, p.rank, p.branches),
                 i_len=p.interp_len, iterations=p.iterations,
             ),
+            "sa-mvdr": dict(iterations=p.iterations),
         }.get(name, {})
         assert w.multiplication_count == ev.multiplication_count(name, 16, k_snapshots=40, **sizes)
         _, _, spec = parse_config_text(f"[experiment]\nalgorithms = {name}\n")
         assert spec.algorithms == (name,)
         with pytest.raises(ConfigError, match="unknown algorithm"):
             parse_config_text(f"[experiment]\nalgorithms = {name}-x\n")
+
+    def test_sa_mvdr_count_follows_iterations(self, small_design_context):
+        ctx, r_hat, block = small_design_context
+        ctx = replace(ctx, params=replace(ctx.params, iterations=3))
+        w = ev.design_algorithm("sa-mvdr", ctx, r_hat, block)
+        assert w.multiplication_count == ev.multiplication_count("sa-mvdr", 16, k_snapshots=40, iterations=3)
 
     def test_unknown_name_rejected(self, small_design_context):
         ctx, r_hat, block = small_design_context

@@ -151,8 +151,7 @@ class TestHankel:
 
 def draw(r, rng, count):
     """(M, count) snapshot block with covariance ``r``, drawn as the scene draws."""
-    zero = np.zeros_like(r)
-    return scene.draw_interference_block(scene.CovarianceSet(zero, zero, zero, r), count, rng)
+    return scene.draw_interference_block(scene.CovarianceSet(r), count, rng)
 
 
 class TestColoredSample:

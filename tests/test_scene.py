@@ -149,9 +149,12 @@ class TestTotalCovariance:
 
     def test_sum_and_floor(self):
         cov = scene.total_covariance(TABLE_CFG)
-        np.testing.assert_allclose(
-            cov.r_total, cov.r_clutter + cov.r_jammer + cov.r_noise, atol=1e-12
+        parts = (
+            scene.clutter_covariance(TABLE_CFG)
+            + scene.jammer_covariance(TABLE_CFG)
+            + scene.noise_covariance(TABLE_CFG)
         )
+        np.testing.assert_allclose(cov.r_total, parts, atol=1e-12)
         assert np.linalg.eigvalsh(cov.r_total).min() >= TABLE_CFG.noise_power * (1 - 1e-10)
 
     def test_table_trace_regression(self):
@@ -163,9 +166,7 @@ class TestTotalCovariance:
 
 class TestSnapshots:
     def test_zero_covariance_draw(self):
-        cov = scene.CovarianceSet(
-            np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
-        )
+        cov = scene.CovarianceSet(np.zeros((2, 2)))
         block = scene.draw_interference_block(cov, 1, np.random.default_rng(0))
         assert block.shape == (2, 1)
         np.testing.assert_allclose(block, 0.0)
