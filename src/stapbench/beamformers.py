@@ -203,7 +203,7 @@ def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, Beamfor
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    identity_cols = [np.eye(m, dtype=complex)[:, i] for i in range(m)]
+    identity_cols = list(np.eye(m, dtype=complex))  # the rows of I are its columns, on one base
     basis = np.column_stack(identity_cols[:rank])
     _, w = _reduced_mvdr(r, s, basis, "jio")
     objective = float((w.conj() @ r @ w).real)

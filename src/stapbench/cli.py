@@ -14,6 +14,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# OpenBLAS reads this once, when numpy loads it: the next import is the first
+# to load numpy. At M <= 256 a second thread costs more than it saves.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import evaluation, scene, storage
 from .config_io import ExperimentSpec, parse_config
 

@@ -1,5 +1,7 @@
 """Beamformer design tests: full-rank, reduced-rank, sparse, knowledge-aided."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,19 @@ class TestJio:
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             bf.jio_design(np.eye(3), np.ones(3), 4, 1)
+
+    def test_identity_pool_is_one_matrix(self):
+        # the pool of M identity columns must share one M x M base; one base
+        # per column held M of them, 33 MB at M = 128
+        rng = np.random.default_rng(8)
+        r, s = random_hpd(rng, 128), random_steering(rng, 128)
+        tracemalloc.start()
+        try:
+            bf.jio_design(r, s, 8, iterations=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestJidf:

@@ -1,6 +1,7 @@
 """Command-line contract tests: files, determinism, exit codes, runtime."""
 
 import csv
+import json
 import math
 import os
 import subprocess
@@ -87,6 +88,48 @@ class TestDeterminism:
             assert (a["algorithm"], a["x_value"], a["runs"]) == (b["algorithm"], b["x_value"], b["runs"])
             for key in ("metric", "std"):
                 assert math.isclose(float(a[key]), float(b[key]), rel_tol=1e-8), (a, b)
+
+
+# Imports the CLI before numpy, as every entry point does, then reads the
+# thread count of each OpenBLAS copy mapped into the process (numpy and scipy
+# each bundle their own).
+BLAS_THREADS_PROBE = """
+import ctypes, json
+import stapbench.cli
+import scipy.linalg
+paths = sorted({line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()})
+counts = {}
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        if hasattr(lib, name):
+            getter = getattr(lib, name)
+            getter.restype = ctypes.c_int
+            getter.argtypes = []
+            counts[path] = getter()
+print(json.dumps(counts))
+"""
+
+
+class TestBlasThreads:
+    def test_cli_pins_one_thread_unless_set(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = src
+
+        def threads(env):
+            run = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env, check=True,
+                                 capture_output=True, text=True)
+            return json.loads(run.stdout)
+
+        pinned = threads(base)
+        if not pinned:
+            pytest.skip("no mapped OpenBLAS exports scipy_openblas_get_num_threads{64_,}")
+        assert set(pinned.values()) == {1}, pinned
+        # OpenBLAS caps the count at the CPUs this process may use
+        chosen = threads(dict(base, OPENBLAS_NUM_THREADS="2"))
+        assert chosen.keys() == pinned.keys()
+        assert set(chosen.values()) == {min(2, len(os.sched_getaffinity(0)))}, chosen
 
 
 class TestSmokeRuntime:
