@@ -94,10 +94,11 @@ class TestDeterminism:
 # thread count of each OpenBLAS copy mapped into the process (numpy and scipy
 # each bundle their own).
 BLAS_THREADS_PROBE = """
-import ctypes, json
+import ctypes, json, os
 import stapbench.cli
 import scipy.linalg
-paths = sorted({line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()})
+maps = open("/proc/self/maps").read().splitlines() if os.path.exists("/proc/self/maps") else []
+paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
 counts = {}
 for path in paths:
     lib = ctypes.CDLL(path)
@@ -124,7 +125,7 @@ class TestBlasThreads:
 
         pinned = threads(base)
         if not pinned:
-            pytest.skip("no mapped OpenBLAS exports scipy_openblas_get_num_threads{64_,}")
+            pytest.skip("no OpenBLAS in /proc/self/maps exports scipy_openblas_get_num_threads{64_,}")
         assert set(pinned.values()) == {1}, pinned
         # OpenBLAS caps the count at the CPUs this process may use
         chosen = threads(dict(base, OPENBLAS_NUM_THREADS="2"))
