@@ -2,7 +2,12 @@
 
 Every design takes a covariance (true or estimated) and a unit-energy
 steering vector and returns :class:`BeamformerWeights` whose weight vector
-satisfies the distortionless constraint w^H s = 1.
+satisfies the distortionless constraint w^H s = 1. The covariance is either
+an array, which the design validates once on entry and wraps, or a
+:class:`scene.CovarianceSet`, which passes through: its Cholesky factor and
+eigendecomposition are then shared by every design that reads it. Matrices a
+design forms itself are Hermitian by construction and go to the unchecked
+kernels ``linalg.cholesky``/``linalg.cholesky_solve``.
 
 Families implemented:
 
@@ -71,26 +76,33 @@ class RankReduction:
 def mvdr_weights(r, s) -> BeamformerWeights:
     """Minimum-variance distortionless weights w = R^-1 s / (s^H R^-1 s)."""
     s = np.asarray(s, dtype=complex)
-    x = linalg.hpd_solve(r, s)
+    x = scene.CovarianceSet.of(r).solve(s)
     denom = s.conj() @ x
     if not denom.real > 0:
         raise NumericalError(f"steering quadratic form is not positive: {denom:.3e}")
     return BeamformerWeights(x / denom, "mvdr")
 
 
-def _reduced_mvdr(r, s, basis: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
+def _plus_diagonal(a: np.ndarray, d) -> np.ndarray:
+    """A copy of ``a`` with ``d`` added to its diagonal: a + d*I, or a + diag(d)."""
+    out = a.copy()
+    out.flat[:: a.shape[0] + 1] += d
+    return out
+
+
+def _reduced_mvdr(r: np.ndarray, s, basis: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Solve the minimum-variance problem inside span(basis).
 
-    Returns (w_d, w_full). Raises NumericalError naming ``method`` when the
-    projected covariance is rank-deficient.
+    ``r`` is an exactly Hermitian array. Returns (w_d, w_full). Raises
+    NumericalError naming ``method`` when the projected covariance is
+    rank-deficient.
     """
-    r = np.asarray(r, dtype=complex)
     s = np.asarray(s, dtype=complex)
     rd = basis.conj().T @ r @ basis
     rd = 0.5 * (rd + rd.conj().T)
     sd = basis.conj().T @ s
     try:
-        x = linalg.hpd_solve(rd, sd)
+        x = linalg.cholesky_solve(linalg.cholesky(rd), sd)
     except NumericalError as exc:
         raise NumericalError(f"projected covariance is rank-deficient ({method} basis): {exc}") from exc
     denom = sd.conj() @ x
@@ -102,7 +114,7 @@ def _reduced_mvdr(r, s, basis: np.ndarray, method: str) -> tuple[np.ndarray, np.
 
 def lr_mvdr_weights(basis: RankReduction, r, s) -> BeamformerWeights:
     """Reduced-rank minimum-variance weights through a rank-reduction basis."""
-    _, w = _reduced_mvdr(r, s, basis.s_d_matrix, basis.method)
+    _, w = _reduced_mvdr(scene.CovarianceSet.of(r).matrix, s, basis.s_d_matrix, basis.method)
     return BeamformerWeights(w, f"lr-{basis.method}", rank_d=basis.rank)
 
 
@@ -113,7 +125,7 @@ def evd_basis(r, s, rank: int, selection: str = "pc") -> RankReduction:
     per-eigenvector contribution to output SINR, and keeps the best ``rank``.
     """
     s = np.asarray(s, dtype=complex)
-    values, vectors = linalg.hermitian_evd(r)
+    values, vectors = scene.CovarianceSet.of(r).evd()
     m = values.size
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
@@ -130,53 +142,58 @@ def evd_basis(r, s, rank: int, selection: str = "pc") -> RankReduction:
     return RankReduction(np.column_stack([vectors[:, i] for i in chosen]), f"evd-{selection}")
 
 
+def _cgs2(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Remove span(basis) from ``v`` by classical Gram-Schmidt applied twice
+    (CGS2: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), which
+    keeps the columns orthonormal to working precision. ``basis`` has
+    orthonormal columns; returns the remainder and its norm."""
+    for _pass in range(2):
+        v = v - basis @ (v.conj() @ basis).conj()
+    return v, float(np.linalg.norm(v))
+
+
 def krylov_basis(r, s, rank: int) -> RankReduction:
     """Orthonormal basis of the Krylov chain {q, Rq, ..., R^(D-1)q}, q = s/|s|.
 
     The raw chain is numerically collinear for realistic spectra, so columns
-    are orthonormalized (twice, for stability) as they are generated; the
-    span is unchanged. If the chain stagnates the basis is returned with
-    fewer columns and ``truncated=True``.
+    are orthonormalized (CGS2) as they are generated; the span is unchanged.
+    If the chain stagnates the basis is returned with fewer columns and
+    ``truncated=True``.
     """
-    r = np.asarray(r, dtype=complex)
+    r = scene.CovarianceSet.of(r).matrix
     s = np.asarray(s, dtype=complex)
     m = s.size
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
-    q = s / np.linalg.norm(s)
-    columns = [q]
-    truncated = False
-    for _ in range(1, rank):
-        v = r @ columns[-1]
+    q = np.empty((m, rank), dtype=complex)
+    q[:, 0] = s / np.linalg.norm(s)
+    count = 1
+    while count < rank:
+        v = r @ q[:, count - 1]
         scale = np.linalg.norm(v)
-        for _pass in range(2):
-            for c in columns:
-                v = v - (c.conj() @ v) * c
-        residual = np.linalg.norm(v)
+        v, residual = _cgs2(q[:, :count], v)
         if residual < 1e-10 * max(scale, 1e-300):
-            truncated = True
             break
-        columns.append(v / residual)
-    return RankReduction(np.column_stack(columns), "krylov", truncated=truncated)
+        q[:, count] = v / residual
+        count += 1
+    return RankReduction(q[:, :count], "krylov", truncated=count < rank)
 
 
 def _orthonormal_from(pool: list[np.ndarray], rank: int) -> np.ndarray:
-    """First ``rank`` independent directions from ``pool``, orthonormalized."""
-    columns: list[np.ndarray] = []
+    """First ``rank`` independent directions from ``pool``, orthonormalized (CGS2)."""
+    q = np.empty((pool[0].size, rank), dtype=complex)
+    count = 0
     for cand in pool:
-        if len(columns) == rank:
+        if count == rank:
             break
-        v = np.asarray(cand, dtype=complex).copy()
-        scale = np.linalg.norm(v)
+        scale = np.linalg.norm(cand)
         if scale == 0.0:
             continue
-        for _pass in range(2):
-            for c in columns:
-                v = v - (c.conj() @ v) * c
-        residual = np.linalg.norm(v)
+        v, residual = _cgs2(q[:, :count], np.asarray(cand, dtype=complex))
         if residual > 1e-10 * scale:
-            columns.append(v / residual)
-    return np.column_stack(columns)
+            q[:, count] = v / residual
+            count += 1
+    return q[:, :count]
 
 
 def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, BeamformerWeights]:
@@ -196,7 +213,7 @@ def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, Beamfor
     nonincreasing across iterations; with rank = M the first candidate spans
     the whole space and the design coincides with full minimum variance.
     """
-    r = np.asarray(r, dtype=complex)
+    r = scene.CovarianceSet.of(r).matrix
     s = np.asarray(s, dtype=complex)
     m = s.size
     if not 1 <= rank <= m:
@@ -208,12 +225,11 @@ def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, Beamfor
     _, w = _reduced_mvdr(r, s, basis, "jio")
     objective = float((w.conj() @ r @ w).real)
     scale = float(np.trace(r).real) / m
-    eye = np.eye(m)
     ladder_dirs: list[np.ndarray] = []
     gradient_dirs: list[np.ndarray] = []
     for it in range(iterations):
         ridge = scale * 10.0 ** (-(1.0 + 0.5 * it))
-        ladder_dirs.append(linalg.hpd_solve(r + ridge * eye, s))
+        ladder_dirs.append(linalg.cholesky_solve(linalg.cholesky(_plus_diagonal(r, ridge)), s))
         gradient_dirs.append(r @ w)
         pool = [s, w] + ladder_dirs[::-1] + gradient_dirs[::-1] + identity_cols
         candidate = _orthonormal_from(pool, rank)
@@ -281,15 +297,15 @@ class JidfDesign:
 
 
 def _loaded_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """HPD solve; on singularity retry once with 1e-6*trace/dim loading."""
+    """HPD solve of an exactly Hermitian ``mat``; on singularity retry once
+    with 1e-6*trace/dim loading."""
     try:
-        return linalg.hpd_solve(mat, rhs)
+        return linalg.cholesky_solve(linalg.cholesky(mat), rhs)
     except NumericalError:
-        dim = mat.shape[0]
-        ridge = 1e-6 * float(np.trace(mat).real) / dim
+        ridge = 1e-6 * float(np.trace(mat).real) / mat.shape[0]
         if ridge <= 0.0:
             ridge = 1e-12
-        return linalg.hpd_solve(mat + ridge * np.eye(dim), rhs)
+        return linalg.cholesky_solve(linalg.cholesky(_plus_diagonal(mat, ridge)), rhs)
 
 
 def jidf_design(
@@ -331,37 +347,40 @@ def jidf_design(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     k = block.shape[1]
-    # zero-padded snapshot rows so a window starting at z reads the same
-    # zero fill the steering Hankel uses
-    rows = np.concatenate([block.T, np.zeros((k, interp_len - 1), dtype=complex)], axis=1)
     steer_hankel = linalg.hankel_from_vector(s, interp_len)
+    offsets = np.arange(interp_len)
 
     designed: list[JidfBranch] = []
     for b in range(branches):
         z = decimation_indices(m, rank, b)
-        windows = np.stack([rows[:, zi : zi + interp_len] for zi in z])  # (D, K, I)
+        # windows[d, i] is snapshot row z[d] + i, zero past row M-1: the zero
+        # fill the steering Hankel uses
+        rows = z[:, None] + offsets[None, :]  # (D, I)
+        windows = block[np.minimum(rows, m - 1)]  # (D, I, K)
+        windows[rows >= m] = 0.0
+        windows_h = windows.conj().reshape(rank, interp_len * k)
         steer_windows = steer_hankel[z, :]  # (D, I)
         v = np.zeros(interp_len, dtype=complex)
         v[0] = 1.0
         w = np.full(rank, np.nan, dtype=complex)
         for _ in range(iterations):
             # weight update in the decimated/interpolated coordinates
-            interpolated = np.einsum("dki,i->kd", windows, v)  # (K, D)
-            r_w = interpolated.T @ interpolated.conj() / k
+            interpolated = v @ windows  # (D, K)
+            r_w = interpolated @ interpolated.conj().T / k
             r_w = 0.5 * (r_w + r_w.conj().T)
             s_w = steer_windows @ v
             x = _loaded_solve(r_w, s_w)
             w = x / (s_w.conj() @ x)
             # interpolator update against the weight-combined statistics
-            combined = np.einsum("dki,d->ki", windows.conj(), w)  # (K, I)
-            r_v = combined.T @ combined.conj() / k
+            combined = (w @ windows_h).reshape(interp_len, k)  # (I, K)
+            r_v = combined @ combined.conj().T / k
             r_v = 0.5 * (r_v + r_v.conj().T)
             s_v = steer_windows.conj().T @ w
             x = _loaded_solve(r_v, s_v)
             v = x / (s_v.conj() @ x)
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise NumericalError(f"non-finite branch state (branch {b + 1})")
-        outputs = np.einsum("dki,i,d->k", windows, v, w.conj())
+        outputs = w.conj() @ (v @ windows)
         designed.append(JidfBranch(v, z, w, float(np.mean(np.abs(outputs) ** 2))))
 
     selected = min(range(branches), key=lambda i: designed[i].mean_output_power)
@@ -406,15 +425,14 @@ def sa_mvdr_weights(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     s = np.asarray(s, dtype=complex)
-    base = mvdr_weights(r, s)
-    w = base.w
+    cov = scene.CovarianceSet.of(r)
+    w = mvdr_weights(cov, s).w
     used = 0
     if penalty > 0:
-        r = np.asarray(r, dtype=complex)
-        eye = np.eye(s.size)
         for used in range(1, iterations + 1):
             reweight = 1.0 / (np.abs(w) + epsilon)
-            x = linalg.hpd_solve(r + penalty * reweight * eye, s)
+            loaded = _plus_diagonal(cov.matrix, penalty * reweight)
+            x = linalg.cholesky_solve(linalg.cholesky(loaded), s)
             w_new = x / (s.conj() @ x)
             change = np.linalg.norm(w_new - w) / max(np.linalg.norm(w), 1e-300)
             w = w_new
@@ -477,20 +495,21 @@ def ka_mvdr_weights(
             a vanishing curvature falls back to eta = 0.5 with a flag.
     """
     s = np.asarray(s, dtype=complex)
+    cov = scene.CovarianceSet.of(r_hat)
     hyper: dict = {"mode": mode, "prior": prior.mismatch}
     if mode == "fixed_alpha":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("fixed_alpha mode needs alpha in [0, 1]")
-        blended = alpha * prior.r_prior + (1.0 - alpha) * np.asarray(r_hat, dtype=complex)
+        blended = alpha * prior.r_prior + (1.0 - alpha) * cov.matrix
         w = mvdr_weights(blended, s).w
         hyper["alpha"] = alpha
         return BeamformerWeights(w, "ka-mvdr", hyperparams=hyper)
     if mode not in ("fixed_eta", "optimal_eta"):
         raise ValueError(f"unknown knowledge-aided mode {mode!r}")
-    data_dir = linalg.hpd_solve(r_hat, s)
+    data_dir = cov.solve(s)
     prior_dir = linalg.hpd_solve(prior.r_prior, s)
     if mode == "optimal_eta":
-        reference = np.asarray(r_hat, dtype=complex)
+        reference = cov.matrix
         diff = prior_dir - data_dir
         curvature = float((diff.conj() @ reference @ diff).real)
         if curvature <= 1e-300:

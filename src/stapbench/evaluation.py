@@ -77,7 +77,7 @@ def sinr(w, cov, s, xi_t: float) -> float:
     carried by xi_t * M.
     """
     weight = np.asarray(getattr(w, "w", w), dtype=complex)
-    r = getattr(cov, "r_total", cov)
+    r = getattr(cov, "matrix", cov)
     s = np.asarray(s, dtype=complex)
     denom = float((weight.conj() @ r @ weight).real)
     if not denom > 0.0:
@@ -95,7 +95,7 @@ def detection_threshold(w, cov, pfa: float) -> float:
     if not 0.0 < pfa <= 1.0:
         raise ValueError(f"pfa must be in (0, 1], got {pfa}")
     weight = np.asarray(getattr(w, "w", w), dtype=complex)
-    r = getattr(cov, "r_total", cov)
+    r = getattr(cov, "matrix", cov)
     mean = float((weight.conj() @ r @ weight).real)
     return mean * math.log(1.0 / pfa)
 
@@ -164,15 +164,14 @@ class DesignContext:
 _SA_PENALTY_GRID = (0.01, 0.1, 1.0, 10.0)
 
 
-def _select_sa_penalty(ctx: DesignContext, block: np.ndarray) -> float:
-    """Split-sample penalty choice: fit on the first half, score output power
-    on the second half (lower is better at the fixed unit steering response)."""
-    k = block.shape[1]
-    if k < 4:
-        return ctx.params.sa_penalty if ctx.params.sa_penalty is not None else 0.0
-    half = k // 2
-    fit = scene.sample_covariance(block[:, :half], ctx.loading)
-    score_cov = scene.sample_covariance(block[:, half:], ctx.loading)
+def _select_sa_penalty(ctx: DesignContext, r_hat: scene.CovarianceSet) -> float:
+    """Split-sample penalty choice: fit on the first half of the training
+    snapshots, score output power on the second half (lower is better at the
+    fixed unit steering response). The two halves' covariances, and the fit's
+    Cholesky factor, are built once per ``r_hat`` and shared by every trial."""
+    if r_hat.snapshots.shape[1] < 4:
+        return 0.0
+    fit, score_cov = r_hat.halves()
     sigma = ctx.cfg.noise_power
     best_penalty, best_score = 0.0, np.inf
     for lam in _SA_PENALTY_GRID:
@@ -180,20 +179,21 @@ def _select_sa_penalty(ctx: DesignContext, block: np.ndarray) -> float:
             trial = bf.sa_mvdr_weights(fit, ctx.steering, lam * sigma, ctx.params.sa_epsilon)
         except NumericalError:
             continue
-        score = float((trial.w.conj() @ score_cov @ trial.w).real)
+        score = float((trial.w.conj() @ score_cov.matrix @ trial.w).real)
         if score < best_score:
             best_penalty, best_score = lam * sigma, score
     return best_penalty
 
 
 # Each design maps (context, estimated covariance, training block) to the
-# weights and the sizes its multiplication count depends on. They reach the
-# beamformers through the ``bf`` module so that a wrapper installed on a
-# ``bf`` function sees every call.
+# weights and the sizes its multiplication count depends on; the covariance is
+# a scene.CovarianceSet of the block. They reach the beamformers through the
+# ``bf`` module so that a wrapper installed on a ``bf`` function sees every call.
 
 
 def _design_optimal(ctx: DesignContext, r_hat, block):
-    return bf.mvdr_weights(ctx.cov.r_total, ctx.steering), {}
+    # the bare matrix: a factor cached on ctx.cov would live for the whole study
+    return bf.mvdr_weights(ctx.cov.matrix, ctx.steering), {}
 
 
 def _design_smi(ctx: DesignContext, r_hat, block):
@@ -229,7 +229,7 @@ def _design_lr_jidf(ctx: DesignContext, r_hat, block):
 
 def _design_sa_mvdr(ctx: DesignContext, r_hat, block):
     p = ctx.params
-    penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, block)
+    penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, r_hat)
     return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon), {"iterations": p.iterations}
 
 
@@ -310,10 +310,15 @@ def multiplication_count(
 def design_algorithm(name: str, ctx: DesignContext, r_hat, block) -> bf.BeamformerWeights:
     """Design one algorithm on an (M, K) training block and its covariance.
 
-    The weights come back tagged with ``name`` and with the design's
+    ``r_hat`` is the block's loaded sample covariance: an array, validated
+    here, or a scene.CovarianceSet of the block, which the runners build once
+    so that every design and Doppler bin shares its factorizations. The
+    weights come back tagged with ``name`` and with the design's
     multiplication count.
     """
     design, _ = _table_entry(name)
+    if not isinstance(r_hat, scene.CovarianceSet):
+        r_hat = scene.CovarianceSet(r_hat, block, ctx.loading)
     w, sizes = design(ctx, r_hat, block)
     w.algorithm = name
     w.multiplication_count = multiplication_count(
@@ -395,6 +400,19 @@ def _aggregate(kind, metric_label, algorithms, grid, samples, trials=None) -> Ex
     return ExperimentResult(kind, metric_label, curves, failures, designs)
 
 
+def _sinr_of_designs(ctx: DesignContext, algorithms, r_hat, block) -> np.ndarray:
+    """Output SINR of each algorithm designed on ``block`` and its covariance,
+    scored against the true one; NaN marks a failed design."""
+    values = np.full(len(algorithms), np.nan)
+    for ai, name in enumerate(algorithms):
+        try:
+            w = design_algorithm(name, ctx, r_hat, block)
+            values[ai] = sinr(w, ctx.cov, ctx.steering, ctx.xi_t)
+        except (NumericalError, np.linalg.LinAlgError):
+            pass  # the NaN left in place counts as a failed design
+    return values
+
+
 def _default_k_grid(k_max: int) -> tuple[int, ...]:
     grid = np.unique(np.geomspace(max(8, min(10, k_max)), k_max, 10).round().astype(int))
     return tuple(int(k) for k in grid if k <= k_max)
@@ -423,14 +441,11 @@ def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec
             chunk = block[:, prev:k]
             gram += chunk @ chunk.conj().T
             prev = k
-            r_hat = gram / k + loading * np.eye(m)
-            r_hat = 0.5 * (r_hat + r_hat.conj().T)
-            for ai, name in enumerate(algorithms):
-                try:
-                    w = design_algorithm(name, ctx, r_hat, block[:, :k])
-                    values[ai, gi] = sinr(w, ctx.cov, ctx.steering, ctx.xi_t)
-                except (NumericalError, np.linalg.LinAlgError):
-                    pass  # the NaN left in place counts as a failed design
+            # the set stores the exactly Hermitian (r + r^H)/2 of its matrix;
+            # it and its factorizations are freed before the next grid point
+            r_hat = scene.CovarianceSet(gram / k + loading * np.eye(m), block[:, :k], loading)
+            values[:, gi] = _sinr_of_designs(ctx, algorithms, r_hat, block[:, :k])
+            del r_hat
         return values
 
     samples = [one_run(i) for i in range(spec.runs)]
@@ -452,19 +467,14 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
     def one_run(run_idx: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
-        r_hat = scene.sample_covariance(block, spec.loading)
+        r_hat = scene.CovarianceSet.estimate(block, spec.loading)
         values = np.full((len(algorithms), len(grid)), np.nan)
         for gi, fd in enumerate(grid):
             tgt = replace(target, doppler_hz=fd)
             fd_ctx = replace(
                 ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)
             )
-            for ai, name in enumerate(algorithms):
-                try:
-                    w = design_algorithm(name, fd_ctx, r_hat, block)
-                    values[ai, gi] = sinr(w, ctx.cov, fd_ctx.steering, fd_ctx.xi_t)
-                except (NumericalError, np.linalg.LinAlgError):
-                    pass  # the NaN left in place counts as a failed design
+            values[:, gi] = _sinr_of_designs(fd_ctx, algorithms, r_hat, block)
         return values
 
     samples = [one_run(i) for i in range(spec.runs)]
@@ -486,7 +496,7 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
     grid = tuple(float(v) for v in spec.snr_grid_db)
     m = cfg.size
     s = ctx.steering
-    r_total = ctx.cov.r_total
+    r_total = ctx.cov.matrix
     per_design = [spec.trials // designs] * designs
     per_design[0] += spec.trials - sum(per_design)
     amp = np.sqrt(cfg.noise_power * 10.0 ** (np.asarray(grid) / 10.0) * m)
@@ -494,7 +504,7 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
     def one_design(didx: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, didx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
-        r_hat = scene.sample_covariance(block, spec.loading)
+        r_hat = scene.CovarianceSet.estimate(block, spec.loading)
         weights, thresholds, gains = [], [], []
         for name in algorithms:
             try:

@@ -8,14 +8,16 @@ most) never justify sparse formats.
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import zpotrf
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 __all__ = [
     "NumericalError",
     "require_hermitian",
     "hermitian_evd",
+    "eigh_descending",
     "hpd_solve",
+    "cholesky",
+    "cholesky_solve",
     "hankel_from_vector",
     "covariance_factor",
     "complex_standard_normal",
@@ -69,7 +71,13 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
         orthonormal eigenvectors as the columns of ``vectors``, so that
         ``a ≈ vectors @ diag(values) @ vectors^H``.
     """
-    h = require_hermitian(a)
+    return eigh_descending(require_hermitian(a))
+
+
+def eigh_descending(h) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of :func:`hermitian_evd`, unchecked: ``h`` must already be
+    exactly Hermitian and finite (the output of :func:`require_hermitian`, or
+    Hermitian by construction)."""
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -80,7 +88,9 @@ def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
 def hpd_solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for Hermitian positive-definite ``a`` via Cholesky.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
+    ``b`` may be a vector or a matrix of stacked right-hand sides. ``a`` is
+    validated (:func:`require_hermitian`), then solved by the unchecked
+    kernel :func:`cholesky` and :func:`cholesky_solve`.
 
     Raises:
         NumericalError: if ``a`` has a non-finite entry or is not positive
@@ -93,12 +103,36 @@ def hpd_solve(a, b) -> np.ndarray:
         raise ValueError(
             f"right-hand side length {rhs.shape[0]} does not match matrix size {h.shape[0]}"
         )
+    return cholesky_solve(cholesky(h), rhs)
+
+
+def cholesky(h) -> np.ndarray:
+    """Upper Cholesky factor U of a Hermitian positive-definite ``h`` = U^H U.
+
+    Unchecked: ``h`` must already be exactly Hermitian and finite (the output
+    of :func:`require_hermitian`, or Hermitian by construction); only its
+    upper triangle is read, and the strict lower triangle of the result is
+    left as ``h`` had it. Pass the result to :func:`cholesky_solve`.
+
+    Raises:
+        NumericalError: if ``h`` is not positive definite, naming the failing
+            pivot (1-based).
+    """
     factor, info = zpotrf(h, lower=0, clean=0, overwrite_a=0)
     if info > 0:
         raise NumericalError(f"matrix is not positive definite: Cholesky pivot {info} failed")
     if info < 0:
         raise NumericalError(f"Cholesky factorization rejected argument {-info}")
-    return cho_solve((factor, False), rhs, check_finite=False)
+    return factor
+
+
+def cholesky_solve(factor: np.ndarray, b) -> np.ndarray:
+    """Solve U^H U x = b with the upper factor U from :func:`cholesky`;
+    ``b`` may be a vector or a matrix of stacked right-hand sides."""
+    x, info = zpotrs(factor, b, lower=0)
+    if info < 0:
+        raise NumericalError(f"triangular solve rejected argument {-info}")
+    return x
 
 
 def hankel_from_vector(x, width: int) -> np.ndarray:

@@ -241,24 +241,81 @@ def noise_covariance(cfg: RadarConfig) -> np.ndarray:
 
 @dataclass
 class CovarianceSet:
-    """The interference-plus-noise covariance and its cached sampling factor."""
+    """A validated Hermitian covariance and what is derived from it, each computed once.
 
-    r_total: np.ndarray
-    _factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+    It holds either the scene's interference-plus-noise covariance, which
+    snapshot draws and scoring read, or a loaded sample covariance, which the
+    designs read; a sample covariance keeps the training ``snapshots`` and the
+    ``loading`` it was estimated with. ``matrix`` is checked once, on
+    construction (``linalg.require_hermitian``), and stored exactly
+    Hermitian, so nothing that reads it checks it again. The sampling factor,
+    the Cholesky factor, the eigendecomposition and the split-sample halves
+    are each computed on first use and kept for the life of the object:
+    every design and Doppler bin that reads one covariance shares them.
+    """
+
+    matrix: np.ndarray
+    snapshots: np.ndarray | None = field(default=None, repr=False, compare=False)
+    loading: float = 0.0
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _cholesky: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _evd: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _halves: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.matrix = linalg.require_hermitian(self.matrix, name="covariance")
+
+    @classmethod
+    def of(cls, r) -> "CovarianceSet":
+        """``r`` itself if it is a CovarianceSet, else ``r`` validated and wrapped."""
+        return r if isinstance(r, cls) else cls(r)
+
+    @classmethod
+    def estimate(cls, snapshots, loading: float = 0.0) -> "CovarianceSet":
+        """The loaded sample covariance of an (M, K) block (see :func:`sample_covariance`)."""
+        return cls(sample_covariance(snapshots, loading), snapshots, loading)
 
     @property
     def size(self) -> int:
-        return self.r_total.shape[0]
+        return self.matrix.shape[0]
 
     def sampling_factor(self) -> np.ndarray:
-        """Cached Hermitian principal square root of r_total, for repeated snapshot draws.
+        """Cached Hermitian principal square root of the matrix, for repeated snapshot draws.
 
         The root is unique (see ``linalg.covariance_factor``), so draws depend
-        only on r_total and the generator, not on the LAPACK or BLAS build.
+        only on the matrix and the generator, not on the LAPACK or BLAS build.
         """
         if self._factor is None:
-            self._factor = linalg.covariance_factor(self.r_total)
+            self._factor = linalg.covariance_factor(self.matrix)
         return self._factor
+
+    def solve(self, b) -> np.ndarray:
+        """``matrix^-1 b`` through the cached Cholesky factor.
+
+        Raises:
+            linalg.NumericalError: if the matrix is not positive definite.
+        """
+        if self._cholesky is None:
+            self._cholesky = linalg.cholesky(self.matrix)
+        return linalg.cholesky_solve(self._cholesky, b)
+
+    def evd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached eigendecomposition, sorted by descending eigenvalue (see
+        ``linalg.hermitian_evd``)."""
+        if self._evd is None:
+            self._evd = linalg.eigh_descending(self.matrix)
+        return self._evd
+
+    def halves(self) -> tuple["CovarianceSet", "CovarianceSet"]:
+        """Cached sample covariances of the first and the second half of the
+        training snapshots, at the same loading, for split-sample validation."""
+        if self._halves is None:
+            half = self.snapshots.shape[1] // 2
+            self._halves = (
+                CovarianceSet.estimate(self.snapshots[:, :half], self.loading),
+                CovarianceSet.estimate(self.snapshots[:, half:], self.loading),
+            )
+        return self._halves
 
 
 def total_covariance(cfg: RadarConfig) -> CovarianceSet:
@@ -304,8 +361,7 @@ def sample_covariance(snapshots, loading: float = 0.0) -> np.ndarray:
     k = block.shape[1]
     est = block @ block.conj().T / k
     est = 0.5 * (est + est.conj().T)
-    if loading:
-        est = est + loading * np.eye(block.shape[0])
+    est.flat[:: block.shape[0] + 1] += loading
     return est
 
 

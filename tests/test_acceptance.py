@@ -275,7 +275,7 @@ class TestOracleEquivalences:
         cov = scene.total_covariance(CFG)
         s = scene.target_steering(CFG, TARGET)
         xi = scene.target_power(CFG, TARGET)
-        w = bf.mvdr_weights(cov.r_total, s)
+        w = bf.mvdr_weights(cov.matrix, s)
         pfa = 1e-2
         threshold = ev.detection_threshold(w, cov, pfa)
         rng = np.random.default_rng(104)
@@ -303,7 +303,7 @@ class TestOracleEquivalences:
         s = scene.target_steering(CFG, TARGET)
         prior = bf.ka_prior(CFG)
         designs = [
-            bf.mvdr_weights(cov.r_total, s),
+            bf.mvdr_weights(cov.matrix, s),
             bf.mvdr_weights(r_hat, s),
             bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, 34, "csm"), r_hat, s),
             bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, 12), r_hat, s),

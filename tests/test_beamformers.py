@@ -39,6 +39,46 @@ def table_scene():
     return cov, s
 
 
+@pytest.fixture(scope="module")
+def m256_sample():
+    """A loaded sample covariance of the standard scene at 16 x 16 (M = 256)."""
+    cfg = scene.RadarConfig(num_sensors=16, num_pulses=16)
+    block = scene.draw_interference_block(scene.total_covariance(cfg), 512, np.random.default_rng(31))
+    return scene.sample_covariance(block, 0.01), scene.target_steering(cfg, TABLE_TGT)
+
+
+def mgs_columns(pool, rank, stop_on_dependent):
+    """Reference orthonormalization: the column-by-column modified Gram-Schmidt
+    loop, applied twice, with the designs' stagnation and truncation thresholds.
+    ``pool`` yields candidates given the columns so far."""
+    columns = []
+    for cand in pool(columns):
+        if len(columns) == rank:
+            break
+        v = np.asarray(cand, dtype=complex).copy()
+        scale = np.linalg.norm(v)
+        if scale == 0.0:
+            continue
+        for _pass in range(2):
+            for c in columns:
+                v = v - (c.conj() @ v) * c
+        residual = np.linalg.norm(v)
+        if stop_on_dependent and residual < 1e-10 * max(scale, 1e-300):
+            break
+        if residual > 1e-10 * scale:
+            columns.append(v / residual)
+    return np.column_stack(columns)
+
+
+def mgs_krylov(r, s, rank):
+    def chain(columns):
+        yield s
+        while True:
+            yield r @ columns[-1]
+
+    return mgs_columns(chain, rank, stop_on_dependent=True)
+
+
 class TestMvdr:
     def test_white_noise_matched_filter(self):
         s = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -135,7 +175,7 @@ class TestKrylovBasis:
         w = bf.lr_mvdr_weights(bf.krylov_basis(r, s, 3), r, s)
         np.testing.assert_allclose(w.w, bf.mvdr_weights(r, s).w, atol=1e-8)
 
-    def test_span_matches_raw_chain(self):
+    def test_span_matches_raw_chain(self, m256_sample):
         rng = np.random.default_rng(5)
         r = random_hpd(rng, 6)
         s = random_steering(rng, 6)
@@ -144,6 +184,18 @@ class TestKrylovBasis:
         # projection of the raw chain onto the basis span leaves no residual
         proj = basis @ (basis.conj().T @ raw)
         assert np.linalg.norm(raw - proj) <= 1e-8 * np.linalg.norm(raw)
+        # M = 256, D = 100 on a clutter-and-jammer spectrum: CGS2 keeps the
+        # basis orthonormal, and the weight matches the column-by-column
+        # modified Gram-Schmidt reference
+        r_hat, s = m256_sample
+        basis = bf.krylov_basis(r_hat, s, 100)
+        q = basis.s_d_matrix
+        assert q.shape == (256, 100) and not basis.truncated
+        assert np.abs(q.conj().T @ q - np.eye(100)).max() <= 1e-12
+        reference = bf.RankReduction(mgs_krylov(r_hat, s, 100), "krylov")
+        w = bf.lr_mvdr_weights(basis, r_hat, s).w
+        w_ref = bf.lr_mvdr_weights(reference, r_hat, s).w
+        assert np.linalg.norm(w - w_ref) <= 1e-9 * np.linalg.norm(w_ref)
 
 
 class TestJio:
@@ -165,7 +217,7 @@ class TestJio:
 
     def test_unit_response(self, table_scene):
         cov, s = table_scene
-        _, w = bf.jio_design(cov.r_total, s, 6, 5)
+        _, w = bf.jio_design(cov.matrix, s, 6, 5)
         assert abs(w.w.conj() @ s - 1.0) <= 1e-8
 
     def test_objective_nonincreasing_on_table_scene(self, table_scene):
@@ -189,6 +241,28 @@ class TestJio:
     def test_invalid_rank(self):
         with pytest.raises(ValueError):
             bf.jio_design(np.eye(3), np.ones(3), 4, 1)
+
+    def test_pool_matches_modified_gram_schmidt_at_size(self, m256_sample, monkeypatch):
+        r_hat, s = m256_sample
+        pools = []
+        real = bf._orthonormal_from
+
+        def recording(pool, rank):
+            pools.append((list(pool), rank))
+            return real(pool, rank)
+
+        monkeypatch.setattr(bf, "_orthonormal_from", recording)
+        _, w = bf.jio_design(r_hat, s, 20, 3)
+        assert len(pools) == 3
+        for pool, rank in pools:
+            q = real(pool, rank)
+            assert q.shape == (256, 20)
+            assert np.abs(q.conj().T @ q - np.eye(20)).max() <= 1e-12
+        monkeypatch.setattr(
+            bf, "_orthonormal_from", lambda pool, rank: mgs_columns(lambda _: pool, rank, False)
+        )
+        _, w_ref = bf.jio_design(r_hat, s, 20, 3)
+        assert np.linalg.norm(w.w - w_ref.w) <= 1e-9 * np.linalg.norm(w_ref.w)
 
     def test_identity_pool_is_one_matrix(self):
         # the pool of M identity columns must share one M x M base; one base
@@ -350,7 +424,7 @@ class TestKnowledgeAided:
     def test_prior_mismatch_regression(self):
         prior = bf.ka_prior(TABLE_CFG)
         cov = scene.total_covariance(TABLE_CFG)
-        rel = np.linalg.norm(prior.r_prior - cov.r_total) / np.linalg.norm(cov.r_total)
+        rel = np.linalg.norm(prior.r_prior - cov.matrix) / np.linalg.norm(cov.matrix)
         assert abs(rel - 0.8845) < 0.0005
 
     def test_alpha_endpoints(self, table_scene):
@@ -387,11 +461,11 @@ class TestKnowledgeAided:
 
     def test_identical_matrices_fall_back(self, table_scene):
         cov, s = table_scene
-        prior = bf.KaPrior(cov.r_total.copy(), "exact copy")
-        w = bf.ka_mvdr_weights(cov.r_total, prior, s, mode="optimal_eta")
+        prior = bf.KaPrior(cov.matrix.copy(), "exact copy")
+        w = bf.ka_mvdr_weights(cov.matrix, prior, s, mode="optimal_eta")
         assert w.hyperparams.get("eta_fallback") is True
         assert abs(w.hyperparams["eta"] - 0.5) < 1e-12
-        np.testing.assert_allclose(w.w, bf.mvdr_weights(cov.r_total, s).w, atol=1e-10)
+        np.testing.assert_allclose(w.w, bf.mvdr_weights(cov.matrix, s).w, atol=1e-10)
 
     def test_optimal_eta_clamped(self, table_scene):
         cov, s = table_scene
@@ -425,7 +499,7 @@ class TestCrossDesignProperties:
     def test_no_design_beats_clairvoyant_optimum(self, table_scene):
         cov, s = table_scene
         rng = np.random.default_rng(21)
-        bound = sinr_linear(bf.mvdr_weights(cov.r_total, s), cov.r_total, s)
+        bound = sinr_linear(bf.mvdr_weights(cov.matrix, s), cov.matrix, s)
         block = scene.draw_interference_block(cov, 200, rng)
         r_hat = scene.sample_covariance(block, 0.01)
         prior = bf.ka_prior(TABLE_CFG)
@@ -438,7 +512,7 @@ class TestCrossDesignProperties:
             bf.ka_mvdr_weights(r_hat, prior, s),
         ]
         for w in candidates:
-            assert sinr_linear(w, cov.r_total, s) <= bound * (1 + 1e-9), w.algorithm
+            assert sinr_linear(w, cov.matrix, s) <= bound * (1 + 1e-9), w.algorithm
 
     def test_csm_dominates_pc_on_random_instances(self):
         rng = np.random.default_rng(22)
@@ -468,3 +542,43 @@ class TestCrossDesignProperties:
             if not kry_basis.truncated:
                 kry = sinr_db(bf.lr_mvdr_weights(kry_basis, r, s), r, s)
                 assert abs(kry - full) <= 1e-6
+
+
+BOUNDARY_DESIGNS = {
+    "mvdr_weights": lambda r, s: bf.mvdr_weights(r, s),
+    "sa_mvdr_weights": lambda r, s: bf.sa_mvdr_weights(r, s, 1.0),
+    "ka_mvdr_weights": lambda r, s: bf.ka_mvdr_weights(r, bf.KaPrior(np.eye(s.size), "white"), s),
+    "jio_design": lambda r, s: bf.jio_design(r, s, 2, 2),
+    "evd_basis": lambda r, s: bf.evd_basis(r, s, 2),
+    "krylov_basis": lambda r, s: bf.krylov_basis(r, s, 2),
+}
+
+
+class TestValidationAtTheBoundary:
+    @pytest.mark.parametrize("name", BOUNDARY_DESIGNS)
+    def test_bad_covariance_is_rejected_on_entry(self, name):
+        rng = np.random.default_rng(40)
+        r, s = random_hpd(rng, 4), random_steering(rng, 4)
+        skewed = r.copy()
+        skewed[0, 1] += 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            BOUNDARY_DESIGNS[name](skewed, s)
+        poisoned = r.copy()
+        poisoned[2, 2] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            BOUNDARY_DESIGNS[name](poisoned, s)
+
+    def test_sa_mvdr_validates_once(self, monkeypatch):
+        # the start, every reweighting pass and the penalized solves share one check
+        calls = []
+        real = linalg.require_hermitian
+
+        def counting(a, name="matrix"):
+            calls.append(name)
+            return real(a, name)
+
+        monkeypatch.setattr(linalg, "require_hermitian", counting)
+        rng = np.random.default_rng(41)
+        w = bf.sa_mvdr_weights(random_hpd(rng, 16, floor=1.0), random_steering(rng, 16), 1.0)
+        assert w.hyperparams["iterations_run"] > 1
+        assert len(calls) == 1

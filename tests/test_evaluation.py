@@ -9,7 +9,7 @@ from scipy.special import digamma
 
 from stapbench import beamformers as bf
 from stapbench import evaluation as ev
-from stapbench import scene
+from stapbench import linalg, scene
 from stapbench.config_io import ConfigError, ExperimentSpec, parse_config_text
 from stapbench.linalg import NumericalError
 
@@ -295,6 +295,55 @@ class TestSinrVsDoppler:
         for left, right in zip(values, values[::-1]):
             assert abs(left - right) <= 0.5
 
+    def test_one_factor_and_one_evd_of_r_hat_per_run(self, monkeypatch):
+        # every bin's designs share the run's prepared r_hat: one Cholesky
+        # factor and one eigendecomposition of it, where a fresh covariance
+        # per bin would make one of each per bin
+        cfg = scene.RadarConfig(
+            num_sensors=4, num_pulses=4, cnr_db=30.0,
+            jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
+        )
+        tgt = scene.TargetSpec()
+        spec = ExperimentSpec(
+            kind="sinr-vs-doppler", algorithms=ev.ALGORITHMS, doppler_min_hz=-100.0,
+            doppler_max_hz=100.0, doppler_step_hz=50.0, k_train=40, runs=1, seed=6,
+        )
+        ctx = ev._make_context(cfg, tgt, spec)
+        rng = np.random.default_rng(np.random.SeedSequence((6, 0)))
+        block = scene.draw_interference_block(ctx.cov, 40, rng)
+        r_hat = scene.sample_covariance(block, spec.loading)
+        factored, decomposed = [], []
+        real_cholesky, real_evd = linalg.cholesky, linalg.eigh_descending
+
+        def counting_cholesky(h):
+            factored.append(np.array_equal(h, r_hat))
+            return real_cholesky(h)
+
+        def counting_evd(h):
+            decomposed.append(np.array_equal(h, r_hat))
+            return real_evd(h)
+
+        monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(linalg, "eigh_descending", counting_evd)
+        result = ev.run_sinr_vs_doppler(cfg, tgt, spec)
+        monkeypatch.undo()
+        assert sum(factored) == 1
+        assert decomposed == [True]
+
+        reference = []
+        grid = [float(fd) for fd in spec.doppler_grid()]
+        assert len(grid) == 5
+        for name in ev.ALGORITHMS:
+            for fd in grid:
+                bin_tgt = replace(tgt, doppler_hz=fd)
+                bin_ctx = replace(
+                    ctx, steering=scene.target_steering(cfg, bin_tgt), xi_t=scene.target_power(cfg, bin_tgt)
+                )
+                fresh = scene.sample_covariance(block, spec.loading)
+                w = ev.design_algorithm(name, bin_ctx, fresh, block)
+                reference.append((name, fd, ev.sinr(w, ctx.cov, bin_ctx.steering, bin_ctx.xi_t), 0.0, 1))
+        assert list(result.rows()) == reference
+
 
 SMALL_PD_SPEC = ExperimentSpec(
     kind="pd-vs-snr", algorithms=("optimal", "smi"), snr_grid_db=tuple(np.arange(-10.0, 21.0, 2.0)),
@@ -329,7 +378,7 @@ class TestPdVsSnr:
         cfg, result = small_pd
         cov = scene.total_covariance(cfg)
         s = scene.target_steering(cfg, scene.TargetSpec())
-        w = bf.mvdr_weights(cov.r_total, s)
+        w = bf.mvdr_weights(cov.matrix, s)
         for point in result.curves["optimal"]:
             xi = cfg.noise_power * 10 ** (point.x / 10.0)
             sinr_lin = 10 ** (ev.sinr(w, cov, s, xi) / 10.0)
@@ -351,7 +400,7 @@ class TestEmpiricalFalseAlarm:
         )
         cov = scene.total_covariance(cfg)
         s = scene.target_steering(cfg, scene.TargetSpec(0.0, 60.0, 0.0))
-        w = bf.mvdr_weights(cov.r_total, s)
+        w = bf.mvdr_weights(cov.matrix, s)
         pfa = 1e-2
         threshold = ev.detection_threshold(w, cov, pfa)
         rng = np.random.default_rng(17)

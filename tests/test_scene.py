@@ -145,7 +145,7 @@ class TestTotalCovariance:
     def test_noise_only_scene(self):
         cfg = scene.RadarConfig(cnr_db=None, jammers=())
         cov = scene.total_covariance(cfg)
-        np.testing.assert_allclose(cov.r_total, np.eye(64), atol=1e-14)
+        np.testing.assert_allclose(cov.matrix, np.eye(64), atol=1e-14)
 
     def test_sum_and_floor(self):
         cov = scene.total_covariance(TABLE_CFG)
@@ -154,14 +154,14 @@ class TestTotalCovariance:
             + scene.jammer_covariance(TABLE_CFG)
             + scene.noise_covariance(TABLE_CFG)
         )
-        np.testing.assert_allclose(cov.r_total, parts, atol=1e-12)
-        assert np.linalg.eigvalsh(cov.r_total).min() >= TABLE_CFG.noise_power * (1 - 1e-10)
+        np.testing.assert_allclose(cov.matrix, parts, atol=1e-12)
+        assert np.linalg.eigvalsh(cov.matrix).min() >= TABLE_CFG.noise_power * (1 - 1e-10)
 
     def test_table_trace_regression(self):
         cov = scene.total_covariance(TABLE_CFG)
         # noise 1 + clutter 1e4 + one unit-modulus outer product per jammer
         expect = 1.0 + 1e4 + 2 * 1e4
-        assert abs(np.trace(cov.r_total).real / 64 - expect) < 1e-6 * expect
+        assert abs(np.trace(cov.matrix).real / 64 - expect) < 1e-6 * expect
 
 
 class TestSnapshots:
@@ -188,8 +188,8 @@ class TestSnapshots:
         n = 100_000
         block = scene.draw_interference_block(cov, n, rng)
         emp = block @ block.conj().T / n
-        scale = np.sqrt(np.outer(np.diag(cov.r_total).real, np.diag(cov.r_total).real))
-        assert np.all(np.abs(emp - cov.r_total) <= 3.0 * 2.0 * scale / np.sqrt(n))
+        scale = np.sqrt(np.outer(np.diag(cov.matrix).real, np.diag(cov.matrix).real))
+        assert np.all(np.abs(emp - cov.matrix) <= 3.0 * 2.0 * scale / np.sqrt(n))
 
     def test_target_block_covariance(self):
         cfg = scene.RadarConfig(num_sensors=2, num_pulses=2, jammers=(), cnr_db=None)
@@ -201,7 +201,7 @@ class TestSnapshots:
         n = 100_000
         block = scene.draw_target_block(cov, s, xi, n, rng)
         emp = block @ block.conj().T / n
-        expect = cov.r_total + xi * cfg.size * np.outer(s, s.conj())
+        expect = cov.matrix + xi * cfg.size * np.outer(s, s.conj())
         scale = np.sqrt(np.outer(np.diag(expect).real, np.diag(expect).real))
         assert np.all(np.abs(emp - expect) <= 3.0 * 2.0 * scale / np.sqrt(n))
 
