@@ -1,7 +1,7 @@
 """Space-time beamformer designs behind one interface.
 
 Every design takes a covariance (true or estimated) and a unit-energy
-steering vector and returns :class:`BeamformerWeights` whose weight vector
+steering vector and returns the full-length weight vector as an array, which
 satisfies the distortionless constraint w^H s = 1. The covariance is either
 an array, which the design validates once on entry and wraps, or a
 :class:`scene.CovarianceSet`, which passes through: its Cholesky factor and
@@ -22,7 +22,7 @@ Families implemented:
 * knowledge-aided covariance blending (``ka_prior``/``ka_mvdr_weights``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,6 @@ from . import linalg, scene
 from .linalg import NumericalError
 
 __all__ = [
-    "BeamformerWeights",
-    "RankReduction",
-    "JidfBranch",
-    "JidfDesign",
-    "KaPrior",
     "PriorPerturbation",
     "mvdr_weights",
     "lr_mvdr_weights",
@@ -49,38 +44,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class BeamformerWeights:
-    """A full-length weight vector plus provenance."""
-
-    w: np.ndarray
-    algorithm: str
-    rank_d: int | None = None
-    hyperparams: dict = field(default_factory=dict)
-    multiplication_count: int | None = None
-
-
-@dataclass
-class RankReduction:
-    """An M x D basis whose span defines a reduced-rank design space."""
-
-    s_d_matrix: np.ndarray
-    method: str
-    truncated: bool = False  # set when a degenerate chain forced a smaller D
-
-    @property
-    def rank(self) -> int:
-        return self.s_d_matrix.shape[1]
-
-
-def mvdr_weights(r, s) -> BeamformerWeights:
+def mvdr_weights(r, s) -> np.ndarray:
     """Minimum-variance distortionless weights w = R^-1 s / (s^H R^-1 s)."""
     s = np.asarray(s, dtype=complex)
     x = scene.CovarianceSet.of(r).solve(s)
     denom = s.conj() @ x
     if not denom.real > 0:
         raise NumericalError(f"steering quadratic form is not positive: {denom:.3e}")
-    return BeamformerWeights(x / denom, "mvdr")
+    return x / denom
 
 
 def _plus_diagonal(a: np.ndarray, d) -> np.ndarray:
@@ -90,12 +61,11 @@ def _plus_diagonal(a: np.ndarray, d) -> np.ndarray:
     return out
 
 
-def _reduced_mvdr(r: np.ndarray, s, basis: np.ndarray, method: str) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_mvdr(r: np.ndarray, s, basis: np.ndarray) -> np.ndarray:
     """Solve the minimum-variance problem inside span(basis).
 
-    ``r`` is an exactly Hermitian array. Returns (w_d, w_full). Raises
-    NumericalError naming ``method`` when the projected covariance is
-    rank-deficient.
+    ``r`` is an exactly Hermitian array. Returns the full-length weight.
+    Raises NumericalError when the projected covariance is rank-deficient.
     """
     s = np.asarray(s, dtype=complex)
     rd = basis.conj().T @ r @ basis
@@ -104,25 +74,24 @@ def _reduced_mvdr(r: np.ndarray, s, basis: np.ndarray, method: str) -> tuple[np.
     try:
         x = linalg.cholesky_solve(linalg.cholesky(rd), sd)
     except NumericalError as exc:
-        raise NumericalError(f"projected covariance is rank-deficient ({method} basis): {exc}") from exc
+        raise NumericalError(f"projected covariance is rank-deficient: {exc}") from exc
     denom = sd.conj() @ x
     if not denom.real > 0:
-        raise NumericalError(f"steering has no component in the {method} basis")
-    w_d = x / denom
-    return w_d, basis @ w_d
+        raise NumericalError("steering has no component in the basis")
+    return basis @ (x / denom)
 
 
-def lr_mvdr_weights(basis: RankReduction, r, s) -> BeamformerWeights:
-    """Reduced-rank minimum-variance weights through a rank-reduction basis."""
-    _, w = _reduced_mvdr(scene.CovarianceSet.of(r).matrix, s, basis.s_d_matrix, basis.method)
-    return BeamformerWeights(w, f"lr-{basis.method}", rank_d=basis.rank)
+def lr_mvdr_weights(basis: np.ndarray, r, s) -> np.ndarray:
+    """Reduced-rank minimum-variance weights through an (M, D) rank-reduction basis."""
+    return _reduced_mvdr(scene.CovarianceSet.of(r).matrix, s, basis)
 
 
-def evd_basis(r, s, rank: int, selection: str = "pc") -> RankReduction:
+def evd_basis(r, s, rank: int, selection: str = "pc") -> np.ndarray:
     """Eigenvector basis: dominant eigenvalues ("pc") or best metric ("csm").
 
     The cross-spectral metric ranks eigenvectors by |v^H s|^2 / lambda, the
     per-eigenvector contribution to output SINR, and keeps the best ``rank``.
+    Returns the (M, rank) basis.
     """
     s = np.asarray(s, dtype=complex)
     values, vectors = scene.CovarianceSet.of(r).evd()
@@ -139,7 +108,7 @@ def evd_basis(r, s, rank: int, selection: str = "pc") -> RankReduction:
         chosen = sorted(range(m), key=lambda i: -metric[i])[:rank]
     else:
         raise ValueError(f"unknown eigenvector selection {selection!r}")
-    return RankReduction(np.column_stack([vectors[:, i] for i in chosen]), f"evd-{selection}")
+    return np.column_stack([vectors[:, i] for i in chosen])
 
 
 def _cgs2(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -152,13 +121,12 @@ def _cgs2(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
     return v, float(np.linalg.norm(v))
 
 
-def krylov_basis(r, s, rank: int) -> RankReduction:
+def krylov_basis(r, s, rank: int) -> np.ndarray:
     """Orthonormal basis of the Krylov chain {q, Rq, ..., R^(D-1)q}, q = s/|s|.
 
     The raw chain is numerically collinear for realistic spectra, so columns
     are orthonormalized (CGS2) as they are generated; the span is unchanged.
-    If the chain stagnates the basis is returned with fewer columns and
-    ``truncated=True``.
+    Returns the (M, D) basis, with D < ``rank`` if the chain stagnates.
     """
     r = scene.CovarianceSet.of(r).matrix
     s = np.asarray(s, dtype=complex)
@@ -176,7 +144,7 @@ def krylov_basis(r, s, rank: int) -> RankReduction:
             break
         q[:, count] = v / residual
         count += 1
-    return RankReduction(q[:, :count], "krylov", truncated=count < rank)
+    return q[:, :count]
 
 
 def _orthonormal_from(pool: list[np.ndarray], rank: int) -> np.ndarray:
@@ -196,7 +164,7 @@ def _orthonormal_from(pool: list[np.ndarray], rank: int) -> np.ndarray:
     return q[:, :count]
 
 
-def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, BeamformerWeights]:
+def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
     """Joint iterative optimization of the basis and the reduced weight.
 
     Alternates two updates driven by the constrained output-power cost. The
@@ -222,7 +190,7 @@ def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, Beamfor
         raise ValueError("iterations must be >= 1")
     identity_cols = list(np.eye(m, dtype=complex))  # the rows of I are its columns, on one base
     basis = np.column_stack(identity_cols[:rank])
-    _, w = _reduced_mvdr(r, s, basis, "jio")
+    w = _reduced_mvdr(r, s, basis)
     objective = float((w.conj() @ r @ w).real)
     scale = float(np.trace(r).real) / m
     ladder_dirs: list[np.ndarray] = []
@@ -233,15 +201,13 @@ def jio_design(r, s, rank: int, iterations: int) -> tuple[RankReduction, Beamfor
         gradient_dirs.append(r @ w)
         pool = [s, w] + ladder_dirs[::-1] + gradient_dirs[::-1] + identity_cols
         candidate = _orthonormal_from(pool, rank)
-        _, w_new = _reduced_mvdr(r, s, candidate, "jio")
+        w_new = _reduced_mvdr(r, s, candidate)
         if not np.all(np.isfinite(w_new)):
             raise NumericalError(f"non-finite weight at iteration {it + 1}")
         new_objective = float((w_new.conj() @ r @ w_new).real)
         if new_objective <= objective * (1.0 + 1e-12) + 1e-300:
-            basis, w, objective = candidate, w_new, min(new_objective, objective)
-    reduction = RankReduction(basis, "jio")
-    weights = BeamformerWeights(w, "lr-jio", rank_d=rank, hyperparams={"iterations": iterations})
-    return reduction, weights
+            w, objective = w_new, min(new_objective, objective)
+    return w
 
 
 def decimation_indices(m: int, rank: int, branch: int) -> np.ndarray:
@@ -276,26 +242,6 @@ def valid_branch_count(m: int, rank: int, requested: int) -> int:
     return count
 
 
-@dataclass
-class JidfBranch:
-    """One processing branch: interpolator, decimation pattern, reduced weight."""
-
-    interpolator: np.ndarray
-    decimation: np.ndarray
-    weight: np.ndarray
-    mean_output_power: float
-
-
-@dataclass
-class JidfDesign:
-    """Branch bank of the interpolation/decimation/filtering design."""
-
-    branches: list[JidfBranch]
-    interpolator_len: int
-    rank: int
-    selected_branch: int
-
-
 def _loaded_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """HPD solve of an exactly Hermitian ``mat``; on singularity retry once
     with 1e-6*trace/dim loading."""
@@ -315,7 +261,7 @@ def jidf_design(
     interp_len: int,
     rank: int,
     iterations: int,
-) -> tuple[JidfDesign, BeamformerWeights]:
+) -> np.ndarray:
     """Joint interpolation, decimation and filtering design.
 
     Each branch filters the snapshot through a short interpolator, decimates
@@ -350,7 +296,7 @@ def jidf_design(
     steer_hankel = linalg.hankel_from_vector(s, interp_len)
     offsets = np.arange(interp_len)
 
-    designed: list[JidfBranch] = []
+    best = None  # (mean output power, interpolator, decimation, weight) of the best branch
     for b in range(branches):
         z = decimation_indices(m, rank, b)
         # windows[d, i] is snapshot row z[d] + i, zero past row M-1: the zero
@@ -380,23 +326,16 @@ def jidf_design(
             v = x / (s_v.conj() @ x)
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise NumericalError(f"non-finite branch state (branch {b + 1})")
-        outputs = w.conj() @ (v @ windows)
-        designed.append(JidfBranch(v, z, w, float(np.mean(np.abs(outputs) ** 2))))
+        power = float(np.mean(np.abs(w.conj() @ (v @ windows)) ** 2))
+        if best is None or power < best[0]:
+            best = (power, v, z, w)
 
-    selected = min(range(branches), key=lambda i: designed[i].mean_output_power)
-    best = designed[selected]
+    _, v, z, w = best
     w_full = np.zeros(m, dtype=complex)
-    for d, zi in enumerate(best.decimation):
+    for d, zi in enumerate(z):
         stop = min(zi + interp_len, m)
-        w_full[zi:stop] += best.weight[d] * best.interpolator[: stop - zi].conj()
-    design = JidfDesign(designed, interp_len, rank, selected)
-    weights = BeamformerWeights(
-        w_full,
-        "lr-jidf",
-        rank_d=rank,
-        hyperparams={"branches": branches, "interp_len": interp_len, "iterations": iterations},
-    )
-    return design, weights
+        w_full[zi:stop] += w[d] * v[: stop - zi].conj()
+    return w_full
 
 
 # relative weight change at which the sparsity-aware reweighting stops early
@@ -409,7 +348,7 @@ def sa_mvdr_weights(
     penalty: float,
     epsilon: float = 0.1,
     iterations: int = 10,
-) -> BeamformerWeights:
+) -> np.ndarray:
     """Sparsity-aware minimum-variance design by iterative reweighting.
 
     The l1 penalty on the weights is handled through the quadratic surrogate
@@ -426,10 +365,9 @@ def sa_mvdr_weights(
         raise ValueError("iterations must be >= 1")
     s = np.asarray(s, dtype=complex)
     cov = scene.CovarianceSet.of(r)
-    w = mvdr_weights(cov, s).w
-    used = 0
+    w = mvdr_weights(cov, s)
     if penalty > 0:
-        for used in range(1, iterations + 1):
+        for _ in range(iterations):
             reweight = 1.0 / (np.abs(w) + epsilon)
             loaded = _plus_diagonal(cov.matrix, penalty * reweight)
             x = linalg.cholesky_solve(linalg.cholesky(loaded), s)
@@ -438,9 +376,7 @@ def sa_mvdr_weights(
             w = w_new
             if change <= SA_TOLERANCE:
                 break
-    return BeamformerWeights(
-        w, "sa-mvdr", hyperparams={"penalty": penalty, "epsilon": epsilon, "iterations_run": used}
-    )
+    return w
 
 
 @dataclass(frozen=True)
@@ -451,15 +387,7 @@ class PriorPerturbation:
     cnr_offset_db: float = -3.0
 
 
-@dataclass
-class KaPrior:
-    """A prior interference covariance and a record of how it was made."""
-
-    r_prior: np.ndarray
-    mismatch: str
-
-
-def ka_prior(cfg: scene.RadarConfig, perturbation: PriorPerturbation | None = None) -> KaPrior:
+def ka_prior(cfg: scene.RadarConfig, perturbation: PriorPerturbation | None = None) -> scene.CovarianceSet:
     """Synthesize a prior covariance from a perturbed scene.
 
     Stands in for terrain-database or previous-scan knowledge: clutter of a
@@ -469,19 +397,17 @@ def ka_prior(cfg: scene.RadarConfig, perturbation: PriorPerturbation | None = No
     """
     pert = perturbation if perturbation is not None else PriorPerturbation()
     shifted = scene.perturbed_config(cfg, pert.velocity_fraction, pert.cnr_offset_db)
-    r_o = scene.clutter_covariance(shifted) + scene.noise_covariance(cfg)
-    label = f"velocity x{1 + pert.velocity_fraction:g}, cnr {pert.cnr_offset_db:+g} dB"
-    return KaPrior(0.5 * (r_o + r_o.conj().T), label)
+    return scene.CovarianceSet(scene.clutter_covariance(shifted) + scene.noise_covariance(cfg))
 
 
 def ka_mvdr_weights(
     r_hat,
-    prior: KaPrior,
+    prior: scene.CovarianceSet,
     s,
     mode: str = "optimal_eta",
     alpha: float | None = None,
     eta: float | None = None,
-) -> BeamformerWeights:
+) -> np.ndarray:
     """Knowledge-aided minimum-variance weights.
 
     Modes:
@@ -492,39 +418,37 @@ def ka_mvdr_weights(
         ``optimal_eta``: pick eta minimizing the output power against
             ``r_hat``, the best available stand-in for the unknown truth,
             clamped to [0, 1];
-            a vanishing curvature falls back to eta = 0.5 with a flag.
+            a vanishing curvature falls back to eta = 0.5.
+
+    The prior is factored on every call: it lives for the whole study, and a
+    factor cached on it would too.
     """
     s = np.asarray(s, dtype=complex)
     cov = scene.CovarianceSet.of(r_hat)
-    hyper: dict = {"mode": mode, "prior": prior.mismatch}
+    prior = scene.CovarianceSet.of(prior)
     if mode == "fixed_alpha":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("fixed_alpha mode needs alpha in [0, 1]")
-        blended = alpha * prior.r_prior + (1.0 - alpha) * cov.matrix
-        w = mvdr_weights(blended, s).w
-        hyper["alpha"] = alpha
-        return BeamformerWeights(w, "ka-mvdr", hyperparams=hyper)
+        return mvdr_weights(alpha * prior.matrix + (1.0 - alpha) * cov.matrix, s)
     if mode not in ("fixed_eta", "optimal_eta"):
         raise ValueError(f"unknown knowledge-aided mode {mode!r}")
     data_dir = cov.solve(s)
-    prior_dir = linalg.hpd_solve(prior.r_prior, s)
+    prior_dir = linalg.cholesky_solve(linalg.cholesky(prior.matrix), s)
     if mode == "optimal_eta":
         reference = cov.matrix
         diff = prior_dir - data_dir
         curvature = float((diff.conj() @ reference @ diff).real)
         if curvature <= 1e-300:
             eta = 0.5
-            hyper["eta_fallback"] = True
         else:
             numer = float(((data_dir - prior_dir).conj() @ reference @ data_dir).real)
             eta = min(max(numer / curvature, 0.0), 1.0)
     else:
         if eta is None or not 0.0 <= eta <= 1.0:
             raise ValueError("fixed_eta mode needs eta in [0, 1]")
-    hyper["eta"] = float(eta)
     direction = eta * prior_dir + (1.0 - eta) * data_dir
     denom = s.conj() @ direction
     if abs(denom) <= 1e-300:
         raise NumericalError("blended direction is orthogonal to the steering vector")
-    return BeamformerWeights(direction / denom, "ka-mvdr", hyperparams=hyper)
+    return direction / denom
 

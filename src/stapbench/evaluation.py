@@ -69,24 +69,22 @@ class ExperimentResult:
                 yield (name, p.x, p.value, p.std, p.count)
 
 
-def sinr(w, cov, s, xi_t: float) -> float:
+def sinr(w, r, s, xi_t: float) -> float:
     """Output SINR in dB: xi_t*M*|w^H s|^2 / (w^H R w), R interference-plus-noise.
 
-    ``cov`` may be a CovarianceSet or a bare covariance matrix. Scale-invariant
-    in ``w``; the steering vector is assumed unit-energy with the target power
-    carried by xi_t * M.
+    Scale-invariant in ``w``; the steering vector is assumed unit-energy with
+    the target power carried by xi_t * M.
     """
-    weight = np.asarray(getattr(w, "w", w), dtype=complex)
-    r = getattr(cov, "matrix", cov)
+    w = np.asarray(w, dtype=complex)
     s = np.asarray(s, dtype=complex)
-    denom = float((weight.conj() @ r @ weight).real)
+    denom = float((w.conj() @ r @ w).real)
     if not denom > 0.0:
         raise NumericalError(f"output interference power is not positive: {denom:.3e}")
     m = s.size
-    return 10.0 * math.log10(xi_t * m * abs(weight.conj() @ s) ** 2 / denom)
+    return 10.0 * math.log10(xi_t * m * abs(w.conj() @ s) ** 2 / denom)
 
 
-def detection_threshold(w, cov, pfa: float) -> float:
+def detection_threshold(w, r, pfa: float) -> float:
     """Square-law threshold for a false-alarm rate of ``pfa``.
 
     The statistic |w^H r|^2 is exponential under target absence with mean
@@ -94,9 +92,8 @@ def detection_threshold(w, cov, pfa: float) -> float:
     """
     if not 0.0 < pfa <= 1.0:
         raise ValueError(f"pfa must be in (0, 1], got {pfa}")
-    weight = np.asarray(getattr(w, "w", w), dtype=complex)
-    r = getattr(cov, "matrix", cov)
-    mean = float((weight.conj() @ r @ weight).real)
+    w = np.asarray(w, dtype=complex)
+    mean = float((w.conj() @ r @ w).real)
     return mean * math.log(1.0 / pfa)
 
 
@@ -156,9 +153,16 @@ class DesignContext:
     cov: scene.CovarianceSet
     steering: np.ndarray
     xi_t: float
-    loading: float
     params: AlgorithmParams
-    prior: bf.KaPrior | None = None
+    prior: scene.CovarianceSet | None = None
+
+
+@dataclass
+class Design:
+    """One algorithm's weight vector and its multiplication count."""
+
+    w: np.ndarray
+    multiplication_count: int
 
 
 _SA_PENALTY_GRID = (0.01, 0.1, 1.0, 10.0)
@@ -179,61 +183,62 @@ def _select_sa_penalty(ctx: DesignContext, r_hat: scene.CovarianceSet) -> float:
             trial = bf.sa_mvdr_weights(fit, ctx.steering, lam * sigma, ctx.params.sa_epsilon)
         except NumericalError:
             continue
-        score = float((trial.w.conj() @ score_cov.matrix @ trial.w).real)
+        score = float((trial.conj() @ score_cov.matrix @ trial).real)
         if score < best_score:
             best_penalty, best_score = lam * sigma, score
     return best_penalty
 
 
-# Each design maps (context, estimated covariance, training block) to the
-# weights and the sizes its multiplication count depends on; the covariance is
-# a scene.CovarianceSet of the block. They reach the beamformers through the
-# ``bf`` module so that a wrapper installed on a ``bf`` function sees every call.
+# Each design maps (context, estimated covariance) to the weight vector and the
+# sizes its multiplication count depends on; the covariance is a
+# scene.CovarianceSet that holds its training block. They reach the beamformers
+# through the ``bf`` module so that a wrapper installed on a ``bf`` function
+# sees every call.
 
 
-def _design_optimal(ctx: DesignContext, r_hat, block):
+def _design_optimal(ctx: DesignContext, r_hat):
     # the bare matrix: a factor cached on ctx.cov would live for the whole study
     return bf.mvdr_weights(ctx.cov.matrix, ctx.steering), {}
 
 
-def _design_smi(ctx: DesignContext, r_hat, block):
+def _design_smi(ctx: DesignContext, r_hat):
     return bf.mvdr_weights(r_hat, ctx.steering), {}
 
 
-def _design_lr_evd(ctx: DesignContext, r_hat, block):
+def _design_lr_evd(ctx: DesignContext, r_hat):
     p, s = ctx.params, ctx.steering
-    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(block.shape[1], s.size)
+    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(r_hat.snapshots.shape[1], s.size)
     return bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, rank, p.evd_selection), r_hat, s), {"d": rank}
 
 
-def _design_lr_krylov(ctx: DesignContext, r_hat, block):
+def _design_lr_krylov(ctx: DesignContext, r_hat):
     p, s = ctx.params, ctx.steering
-    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(block.shape[1], s.size)
+    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(r_hat.snapshots.shape[1], s.size)
     return bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, rank), r_hat, s), {"d": rank}
 
 
-def _design_lr_jio(ctx: DesignContext, r_hat, block):
+def _design_lr_jio(ctx: DesignContext, r_hat):
     p, s = ctx.params, ctx.steering
     rank = min(p.rank, s.size)
-    return bf.jio_design(r_hat, s, rank, p.iterations)[1], {"d": rank, "iterations": p.iterations}
+    return bf.jio_design(r_hat, s, rank, p.iterations), {"d": rank, "iterations": p.iterations}
 
 
-def _design_lr_jidf(ctx: DesignContext, r_hat, block):
+def _design_lr_jidf(ctx: DesignContext, r_hat):
     p, s = ctx.params, ctx.steering
     m = s.size
     rank, interp_len = min(p.rank, m), min(p.interp_len, m)
     branches = bf.valid_branch_count(m, rank, p.branches)
-    w = bf.jidf_design(block, s, branches, interp_len, rank, p.iterations)[1]
+    w = bf.jidf_design(r_hat.snapshots, s, branches, interp_len, rank, p.iterations)
     return w, {"d": rank, "b": branches, "i_len": interp_len, "iterations": p.iterations}
 
 
-def _design_sa_mvdr(ctx: DesignContext, r_hat, block):
+def _design_sa_mvdr(ctx: DesignContext, r_hat):
     p = ctx.params
     penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, r_hat)
     return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon), {"iterations": p.iterations}
 
 
-def _design_ka_mvdr(ctx: DesignContext, r_hat, block):
+def _design_ka_mvdr(ctx: DesignContext, r_hat):
     if ctx.prior is None:
         raise ValueError("knowledge-aided design needs a prior in the context")
     p = ctx.params
@@ -307,24 +312,18 @@ def multiplication_count(
     return cost(m, k, d, b, i_len, iterations)
 
 
-def design_algorithm(name: str, ctx: DesignContext, r_hat, block) -> bf.BeamformerWeights:
-    """Design one algorithm on an (M, K) training block and its covariance.
+def design_algorithm(name: str, ctx: DesignContext, r_hat: scene.CovarianceSet) -> Design:
+    """Design one algorithm on a loaded sample covariance and its training block.
 
-    ``r_hat`` is the block's loaded sample covariance: an array, validated
-    here, or a scene.CovarianceSet of the block, which the runners build once
-    so that every design and Doppler bin shares its factorizations. The
-    weights come back tagged with ``name`` and with the design's
-    multiplication count.
+    ``r_hat`` is a scene.CovarianceSet that holds its (M, K) training block
+    (``CovarianceSet.estimate``); the runners build one per block so that
+    every design and Doppler bin shares its factorizations. Returns the
+    weight vector with the design's multiplication count.
     """
     design, _ = _table_entry(name)
-    if not isinstance(r_hat, scene.CovarianceSet):
-        r_hat = scene.CovarianceSet(r_hat, block, ctx.loading)
-    w, sizes = design(ctx, r_hat, block)
-    w.algorithm = name
-    w.multiplication_count = multiplication_count(
-        name, ctx.steering.size, k_snapshots=block.shape[1], **sizes
-    )
-    return w
+    w, sizes = design(ctx, r_hat)
+    k = r_hat.snapshots.shape[1]
+    return Design(w, multiplication_count(name, ctx.steering.size, k_snapshots=k, **sizes))
 
 
 def _make_context(cfg, target, spec) -> DesignContext:
@@ -336,7 +335,7 @@ def _make_context(cfg, target, spec) -> DesignContext:
         prior = bf.ka_prior(
             cfg, bf.PriorPerturbation(spec.prior_velocity_fraction, spec.prior_cnr_offset_db)
         )
-    return DesignContext(cfg, cov, steering, xi, spec.loading, spec, prior)
+    return DesignContext(cfg, cov, steering, xi, spec, prior)
 
 
 # experiment kind -> name of its runner in this module. Every runner takes
@@ -400,14 +399,14 @@ def _aggregate(kind, metric_label, algorithms, grid, samples, trials=None) -> Ex
     return ExperimentResult(kind, metric_label, curves, failures, designs)
 
 
-def _sinr_of_designs(ctx: DesignContext, algorithms, r_hat, block) -> np.ndarray:
-    """Output SINR of each algorithm designed on ``block`` and its covariance,
-    scored against the true one; NaN marks a failed design."""
+def _sinr_of_designs(ctx: DesignContext, algorithms, r_hat) -> np.ndarray:
+    """Output SINR of each algorithm designed on ``r_hat``, scored against the
+    true covariance; NaN marks a failed design."""
     values = np.full(len(algorithms), np.nan)
     for ai, name in enumerate(algorithms):
         try:
-            w = design_algorithm(name, ctx, r_hat, block)
-            values[ai] = sinr(w, ctx.cov, ctx.steering, ctx.xi_t)
+            w = design_algorithm(name, ctx, r_hat).w
+            values[ai] = sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t)
         except (NumericalError, np.linalg.LinAlgError):
             pass  # the NaN left in place counts as a failed design
     return values
@@ -444,7 +443,7 @@ def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec
             # the set stores the exactly Hermitian (r + r^H)/2 of its matrix;
             # it and its factorizations are freed before the next grid point
             r_hat = scene.CovarianceSet(gram / k + loading * np.eye(m), block[:, :k], loading)
-            values[:, gi] = _sinr_of_designs(ctx, algorithms, r_hat, block[:, :k])
+            values[:, gi] = _sinr_of_designs(ctx, algorithms, r_hat)
             del r_hat
         return values
 
@@ -474,7 +473,7 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
             fd_ctx = replace(
                 ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)
             )
-            values[:, gi] = _sinr_of_designs(fd_ctx, algorithms, r_hat, block)
+            values[:, gi] = _sinr_of_designs(fd_ctx, algorithms, r_hat)
         return values
 
     samples = [one_run(i) for i in range(spec.runs)]
@@ -508,7 +507,7 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
         weights, thresholds, gains = [], [], []
         for name in algorithms:
             try:
-                w = design_algorithm(name, ctx, r_hat, block).w
+                w = design_algorithm(name, ctx, r_hat).w
             except (NumericalError, np.linalg.LinAlgError):
                 w = np.full(m, np.nan, dtype=complex)
             weights.append(w)

@@ -13,9 +13,7 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 __all__ = [
     "NumericalError",
     "require_hermitian",
-    "hermitian_evd",
     "eigh_descending",
-    "hpd_solve",
     "cholesky",
     "cholesky_solve",
     "hankel_from_vector",
@@ -60,50 +58,20 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def hermitian_evd(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, sorted by descending eigenvalue.
-
-    Args:
-        a: square Hermitian matrix (validated within tolerance).
-
-    Returns:
-        ``(values, vectors)``: eigenvalues nonincreasing, and the matching
-        orthonormal eigenvectors as the columns of ``vectors``, so that
-        ``a ≈ vectors @ diag(values) @ vectors^H``.
-    """
-    return eigh_descending(require_hermitian(a))
-
-
 def eigh_descending(h) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel of :func:`hermitian_evd`, unchecked: ``h`` must already be
-    exactly Hermitian and finite (the output of :func:`require_hermitian`, or
-    Hermitian by construction)."""
+    """Eigendecomposition of a Hermitian ``h``, sorted by descending eigenvalue.
+
+    Unchecked: ``h`` must already be exactly Hermitian and finite (the output
+    of :func:`require_hermitian`, or Hermitian by construction). Returns
+    ``(values, vectors)``: eigenvalues nonincreasing, and the matching
+    orthonormal eigenvectors as the columns of ``vectors``, so that
+    ``h ≈ vectors @ diag(values) @ vectors^H``.
+    """
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     return values[::-1], vectors[:, ::-1]
-
-
-def hpd_solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for Hermitian positive-definite ``a`` via Cholesky.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides. ``a`` is
-    validated (:func:`require_hermitian`), then solved by the unchecked
-    kernel :func:`cholesky` and :func:`cholesky_solve`.
-
-    Raises:
-        NumericalError: if ``a`` has a non-finite entry or is not positive
-            definite; in the second case the message names the failing
-            Cholesky pivot (1-based).
-    """
-    h = require_hermitian(a)
-    rhs = np.asarray(b, dtype=complex)
-    if rhs.shape[0] != h.shape[0]:
-        raise ValueError(
-            f"right-hand side length {rhs.shape[0]} does not match matrix size {h.shape[0]}"
-        )
-    return cholesky_solve(cholesky(h), rhs)
 
 
 def cholesky(h) -> np.ndarray:
@@ -169,13 +137,15 @@ def covariance_factor(r) -> np.ndarray:
     interference, or an all-zero covariance).
     Eigenvalues below 1e-12 of the largest are clamped to zero.
 
+    Unchecked: ``r`` must already be exactly Hermitian and finite (a
+    ``scene.CovarianceSet`` matrix).
+
     Raises:
         NumericalError: if an eigenvalue is negative beyond tolerance
             (1e-10 of the largest eigenvalue).
     """
-    h = require_hermitian(r, name="covariance")
     try:
-        values, vectors = np.linalg.eigh(h)
+        values, vectors = np.linalg.eigh(r)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
     top = max(float(values.max()), 0.0) if values.size else 0.0

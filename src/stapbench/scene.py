@@ -2,7 +2,7 @@
 
 Builds the space-time steering vectors and the clutter / jammer / noise
 covariance components for a sideway-looking uniform linear array, and draws
-snapshot realizations under the target-absent and target-present hypotheses.
+target-absent snapshot blocks.
 
 Conventions, fixed once here and relied on everywhere else:
 
@@ -41,7 +41,6 @@ __all__ = [
     "noise_covariance",
     "total_covariance",
     "draw_interference_block",
-    "draw_target_block",
     "sample_covariance",
 ]
 
@@ -301,7 +300,7 @@ class CovarianceSet:
 
     def evd(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached eigendecomposition, sorted by descending eigenvalue (see
-        ``linalg.hermitian_evd``)."""
+        ``linalg.eigh_descending``)."""
         if self._evd is None:
             self._evd = linalg.eigh_descending(self.matrix)
         return self._evd
@@ -327,25 +326,6 @@ def draw_interference_block(cov: CovarianceSet, count: int, rng: np.random.Gener
     """(M, count) block of target-absent snapshots (columns i.i.d.)."""
     z = linalg.complex_standard_normal(rng, (cov.size, count))
     return cov.sampling_factor() @ z
-
-
-def draw_target_block(
-    cov: CovarianceSet,
-    steering: np.ndarray,
-    xi_t: float,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(M, count) block of target-present snapshots.
-
-    The target amplitude is drawn per snapshot as a circular complex standard
-    normal scaled by sqrt(xi_t * M) (slow-fluctuating point target with unit
-    mean power carried entirely by xi_t).
-    """
-    m = cov.size
-    amp = linalg.complex_standard_normal(rng, count) * np.sqrt(xi_t * m)
-    noise = draw_interference_block(cov, count, rng)
-    return steering[:, None] * amp[None, :] + noise
 
 
 def sample_covariance(snapshots, loading: float = 0.0) -> np.ndarray:

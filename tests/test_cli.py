@@ -214,10 +214,10 @@ class TestExitCodes:
 
         real = ev.design_algorithm
 
-        def flaky(name, ctx, r_hat, block):
+        def flaky(name, ctx, r_hat):
             if name == "smi":
                 raise NumericalError("injected")
-            return real(name, ctx, r_hat, block)
+            return real(name, ctx, r_hat)
 
         monkeypatch.setattr(ev, "design_algorithm", flaky)
         cfg_path = tmp_path / "c.cfg"
@@ -230,11 +230,11 @@ class TestExitCodes:
 
         real = ev.design_algorithm
 
-        def nan_design(name, ctx, r_hat, block):
-            w = real(name, ctx, r_hat, block)
+        def nan_design(name, ctx, r_hat):
+            design = real(name, ctx, r_hat)
             if name == "smi":
-                w.w = w.w * np.nan
-            return w
+                design.w = design.w * np.nan
+            return design
 
         monkeypatch.setattr(ev, "design_algorithm", nan_design)
         cfg_path = tmp_path / "c.cfg"

@@ -42,11 +42,11 @@ class TestSinr:
         # optimal SINR with xi_t*M = 1 is s^H R^-1 s = 0.75
         assert ev.sinr(w, r, s, xi_t=0.5) == pytest.approx(10 * math.log10(0.75), abs=1e-10)
 
-    def test_accepts_covariance_set(self):
+    def test_matched_filter_on_noise_only_scene(self):
         cfg = noise_only_cfg()
         cov = scene.total_covariance(cfg)
         s = scene.target_steering(cfg, scene.TargetSpec(0.0, 0.0, 0.0))
-        assert ev.sinr(s, cov, s, 1.0 / cfg.size) == pytest.approx(0.0, abs=1e-12)
+        assert ev.sinr(s, cov.matrix, s, 1.0 / cfg.size) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_weight_rejected(self):
         with pytest.raises(NumericalError):
@@ -121,16 +121,15 @@ def small_design_context():
     )
     ctx = ev._make_context(cfg, scene.TargetSpec(), ExperimentSpec())
     block = scene.draw_interference_block(ctx.cov, 40, np.random.default_rng(2))
-    return ctx, scene.sample_covariance(block, 0.01), block
+    return ctx, scene.CovarianceSet.estimate(block, 0.01)
 
 
 class TestDesignTable:
     @pytest.mark.parametrize("name", ev.ALGORITHMS)
     def test_every_algorithm_meets_the_design_contract(self, name, small_design_context):
-        ctx, r_hat, block = small_design_context
-        w = ev.design_algorithm(name, ctx, r_hat, block)
-        assert w.algorithm == name
-        assert abs(w.w.conj() @ ctx.steering - 1.0) <= 1e-8
+        ctx, r_hat = small_design_context
+        design = ev.design_algorithm(name, ctx, r_hat)
+        assert abs(design.w.conj() @ ctx.steering - 1.0) <= 1e-8
         p = ctx.params
         sizes = {
             "lr-evd": dict(d=ev.adaptive_rank(40, 16)),
@@ -142,22 +141,24 @@ class TestDesignTable:
             ),
             "sa-mvdr": dict(iterations=p.iterations),
         }.get(name, {})
-        assert w.multiplication_count == ev.multiplication_count(name, 16, k_snapshots=40, **sizes)
+        assert design.multiplication_count == ev.multiplication_count(name, 16, k_snapshots=40, **sizes)
         _, _, spec = parse_config_text(f"[experiment]\nalgorithms = {name}\n")
         assert spec.algorithms == (name,)
         with pytest.raises(ConfigError, match="unknown algorithm"):
             parse_config_text(f"[experiment]\nalgorithms = {name}-x\n")
 
     def test_sa_mvdr_count_follows_iterations(self, small_design_context):
-        ctx, r_hat, block = small_design_context
+        ctx, r_hat = small_design_context
         ctx = replace(ctx, params=replace(ctx.params, iterations=3))
-        w = ev.design_algorithm("sa-mvdr", ctx, r_hat, block)
-        assert w.multiplication_count == ev.multiplication_count("sa-mvdr", 16, k_snapshots=40, iterations=3)
+        design = ev.design_algorithm("sa-mvdr", ctx, r_hat)
+        assert design.multiplication_count == ev.multiplication_count(
+            "sa-mvdr", 16, k_snapshots=40, iterations=3
+        )
 
     def test_unknown_name_rejected(self, small_design_context):
-        ctx, r_hat, block = small_design_context
+        ctx, r_hat = small_design_context
         with pytest.raises(ValueError, match="unknown algorithm"):
-            ev.design_algorithm("dft", ctx, r_hat, block)
+            ev.design_algorithm("dft", ctx, r_hat)
 
 
 class TestAdaptiveRank:
@@ -205,10 +206,10 @@ class TestSinrVsSnapshots:
         cfg = noise_only_cfg(num_sensors=2, num_pulses=2)
         real = ev.design_algorithm
 
-        def flaky(name, ctx, r_hat, block):
+        def flaky(name, ctx, r_hat):
             if name == "smi":
                 raise NumericalError("injected failure")
-            return real(name, ctx, r_hat, block)
+            return real(name, ctx, r_hat)
 
         monkeypatch.setattr(ev, "design_algorithm", flaky)
         spec = ExperimentSpec(algorithms=("smi", "optimal"), k_max=8, runs=2, seed=1, k_grid=(8,))
@@ -222,11 +223,11 @@ class TestSinrVsSnapshots:
         cfg = noise_only_cfg(num_sensors=2, num_pulses=2)
         real = ev.design_algorithm
 
-        def nan_design(name, ctx, r_hat, block):
-            w = real(name, ctx, r_hat, block)
+        def nan_design(name, ctx, r_hat):
+            design = real(name, ctx, r_hat)
             if name == "ka-mvdr":
-                w.w = np.full_like(w.w, np.nan)
-            return w
+                design.w = np.full_like(design.w, np.nan)
+            return design
 
         monkeypatch.setattr(ev, "design_algorithm", nan_design)
         spec = ExperimentSpec(algorithms=("ka-mvdr", "smi"), k_max=16, runs=2, seed=1, k_grid=(8, 16))
@@ -339,9 +340,9 @@ class TestSinrVsDoppler:
                 bin_ctx = replace(
                     ctx, steering=scene.target_steering(cfg, bin_tgt), xi_t=scene.target_power(cfg, bin_tgt)
                 )
-                fresh = scene.sample_covariance(block, spec.loading)
-                w = ev.design_algorithm(name, bin_ctx, fresh, block)
-                reference.append((name, fd, ev.sinr(w, ctx.cov, bin_ctx.steering, bin_ctx.xi_t), 0.0, 1))
+                fresh = scene.CovarianceSet.estimate(block, spec.loading)
+                w = ev.design_algorithm(name, bin_ctx, fresh).w
+                reference.append((name, fd, ev.sinr(w, ctx.cov.matrix, bin_ctx.steering, bin_ctx.xi_t), 0.0, 1))
         assert list(result.rows()) == reference
 
 
@@ -381,7 +382,7 @@ class TestPdVsSnr:
         w = bf.mvdr_weights(cov.matrix, s)
         for point in result.curves["optimal"]:
             xi = cfg.noise_power * 10 ** (point.x / 10.0)
-            sinr_lin = 10 ** (ev.sinr(w, cov, s, xi) / 10.0)
+            sinr_lin = 10 ** (ev.sinr(w, cov.matrix, s, xi) / 10.0)
             expect = ev.pd_analytic(sinr_lin, 1e-2)
             se = math.sqrt(max(expect * (1 - expect), 1e-12) / point.count)
             assert abs(point.value - expect) <= 3 * se + 1e-3, point.x
@@ -402,10 +403,10 @@ class TestEmpiricalFalseAlarm:
         s = scene.target_steering(cfg, scene.TargetSpec(0.0, 60.0, 0.0))
         w = bf.mvdr_weights(cov.matrix, s)
         pfa = 1e-2
-        threshold = ev.detection_threshold(w, cov, pfa)
+        threshold = ev.detection_threshold(w, cov.matrix, pfa)
         rng = np.random.default_rng(17)
         n = 1_000_000
-        outputs = w.w.conj() @ scene.draw_interference_block(cov, n, rng)
+        outputs = w.conj() @ scene.draw_interference_block(cov, n, rng)
         rate = float((np.abs(outputs) ** 2 > threshold).mean())
         se = math.sqrt(pfa * (1 - pfa) / n)
         assert abs(rate - pfa) <= 3 * se

@@ -1,4 +1,4 @@
-"""Kernel tests: eigendecomposition, HPD solves, Kronecker layout, Hankel, sampling."""
+"""Kernel tests: validation, eigendecomposition, HPD solves, Kronecker layout, Hankel, sampling."""
 
 import numpy as np
 import pytest
@@ -17,22 +17,29 @@ def random_hpd(rng, n):
     return a @ a.conj().T + n * np.eye(n)
 
 
+def hpd_solve(a, b):
+    """Validate ``a`` once, as the package does, then solve with the kernels."""
+    return linalg.cholesky_solve(linalg.cholesky(scene.CovarianceSet(a).matrix), b)
+
+
 class TestHermitianEvd:
+    """``linalg.eigh_descending`` on matrices validated by ``scene.CovarianceSet``."""
+
     def test_identity(self):
-        values, vectors = linalg.hermitian_evd(np.eye(3))
+        values, vectors = scene.CovarianceSet(np.eye(3)).evd()
         assert values.shape == (3,) and vectors.shape == (3, 3)
         np.testing.assert_allclose(values, [1.0, 1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(3), atol=1e-10)
 
     def test_diagonal(self):
-        values, vectors = linalg.hermitian_evd(np.diag([3.0, 1.0]))
+        values, vectors = linalg.eigh_descending(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(vectors[:, 0]), [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(np.abs(vectors[:, 1]), [0.0, 1.0], atol=1e-12)
 
     def test_two_by_two_hand_case(self):
         # characteristic polynomial of [[2,1],[1,2]]: (2-x)^2 - 1 -> x in {3, 1}
-        values, vectors = linalg.hermitian_evd(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        values, vectors = linalg.eigh_descending(np.array([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-12)
         v0 = vectors[:, 0]
         v1 = vectors[:, 1]
@@ -43,31 +50,35 @@ class TestHermitianEvd:
         rng = np.random.default_rng(3)
         for n in (2, 5, 17, 64):
             a = random_hermitian(rng, n, scale=3.0)
-            values, vectors = linalg.hermitian_evd(a)
+            values, vectors = linalg.eigh_descending(a)
             assert np.all(np.diff(values) <= 1e-12)
             rebuilt = (vectors * values) @ vectors.conj().T
             assert np.linalg.norm(a - rebuilt) <= 1e-8 * np.linalg.norm(a)
             np.testing.assert_allclose(np.linalg.norm(vectors, axis=0), 1.0, atol=1e-10)
 
     def test_rejects_non_square_and_non_hermitian(self):
-        with pytest.raises(ValueError):
-            linalg.hermitian_evd(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            linalg.hermitian_evd(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="two-dimensional"):
+            scene.CovarianceSet(np.ones(3))
+        with pytest.raises(ValueError, match="square"):
+            scene.CovarianceSet(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            scene.CovarianceSet(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestHpdSolve:
+    """``linalg.cholesky`` and ``linalg.cholesky_solve``, and ``CovarianceSet.solve``."""
+
     def test_identity(self):
         b = np.array([1.0 + 2j, -3.0, 0.5j])
-        np.testing.assert_allclose(linalg.hpd_solve(np.eye(3), b), b, atol=1e-14)
+        np.testing.assert_allclose(scene.CovarianceSet(np.eye(3)).solve(b), b, atol=1e-14)
 
     def test_diagonal(self):
-        x = linalg.hpd_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        x = hpd_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_complex_hand_case(self):
         a = np.array([[2.0, 1j], [-1j, 2.0]])
-        x = linalg.hpd_solve(a, np.array([1.0, 0.0]))
+        x = hpd_solve(a, np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [2.0 / 3.0, 1j / 3.0], atol=1e-12)
 
     def test_residual_on_random_hpd(self):
@@ -75,28 +86,30 @@ class TestHpdSolve:
         for n in (2, 7, 16):
             a = random_hpd(rng, n)
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
-            x = linalg.hpd_solve(a, b)
+            x = scene.CovarianceSet(a).solve(b)
             assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_agrees_with_columnwise_inverse(self):
         rng = np.random.default_rng(12)
         for n in (3, 8, 16):
             a = random_hpd(rng, n)
-            inv = np.column_stack(
-                [linalg.hpd_solve(a, np.eye(n)[:, i]) for i in range(n)]
-            )
+            inv = np.column_stack([hpd_solve(a, np.eye(n)[:, i]) for i in range(n)])
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
-            x = linalg.hpd_solve(a, b)
+            x = hpd_solve(a, b)
             assert np.linalg.norm(x - inv @ b) <= 1e-8 * np.linalg.norm(inv @ b)
+            # stacked right-hand sides solve as columns
+            np.testing.assert_allclose(hpd_solve(a, np.eye(n)), inv, atol=1e-12)
 
     def test_non_pd_reports_pivot(self):
         with pytest.raises(NumericalError, match="pivot 2"):
-            linalg.hpd_solve(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+            linalg.cholesky(np.diag([1.0, -1.0]))
+        with pytest.raises(NumericalError, match="pivot 2"):
+            scene.CovarianceSet(np.diag([1.0, -1.0])).solve(np.array([1.0, 1.0]))
 
     def test_non_finite_matrix_rejected(self):
         for bad in (np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0])):
             with pytest.raises(NumericalError, match="non-finite"):
-                linalg.hpd_solve(bad, np.ones(3))
+                scene.CovarianceSet(bad)
 
 
 class TestKron:

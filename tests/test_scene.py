@@ -171,16 +171,6 @@ class TestSnapshots:
         assert block.shape == (2, 1)
         np.testing.assert_allclose(block, 0.0)
 
-    def test_strong_target_alignment(self):
-        cfg = scene.RadarConfig(num_sensors=4, num_pulses=4, jammers=(), cnr_db=None)
-        cov = scene.total_covariance(cfg)
-        tgt = scene.TargetSpec(0.0, 50.0, 80.0)  # essentially noise-free
-        s = scene.target_steering(cfg, tgt)
-        rng = np.random.default_rng(1)
-        snap = scene.draw_target_block(cov, s, scene.target_power(cfg, tgt), 1, rng)[:, 0]
-        coherence = abs(s.conj() @ snap) / np.linalg.norm(snap)
-        assert coherence > 1.0 - 1e-3
-
     def test_interference_block_covariance(self):
         cfg = small_cfg()
         cov = scene.total_covariance(cfg)
@@ -190,20 +180,6 @@ class TestSnapshots:
         emp = block @ block.conj().T / n
         scale = np.sqrt(np.outer(np.diag(cov.matrix).real, np.diag(cov.matrix).real))
         assert np.all(np.abs(emp - cov.matrix) <= 3.0 * 2.0 * scale / np.sqrt(n))
-
-    def test_target_block_covariance(self):
-        cfg = scene.RadarConfig(num_sensors=2, num_pulses=2, jammers=(), cnr_db=None)
-        cov = scene.total_covariance(cfg)
-        tgt = scene.TargetSpec(0.0, 30.0, 6.0)
-        s = scene.target_steering(cfg, tgt)
-        xi = scene.target_power(cfg, tgt)
-        rng = np.random.default_rng(8)
-        n = 100_000
-        block = scene.draw_target_block(cov, s, xi, n, rng)
-        emp = block @ block.conj().T / n
-        expect = cov.matrix + xi * cfg.size * np.outer(s, s.conj())
-        scale = np.sqrt(np.outer(np.diag(expect).real, np.diag(expect).real))
-        assert np.all(np.abs(emp - expect) <= 3.0 * 2.0 * scale / np.sqrt(n))
 
 
 class TestSampleCovariance:
