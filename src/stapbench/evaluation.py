@@ -176,11 +176,11 @@ def _select_sa_penalty(ctx: DesignContext, r_hat: scene.CovarianceSet) -> float:
     if r_hat.snapshots.shape[1] < 4:
         return 0.0
     fit, score_cov = r_hat.halves()
-    sigma = ctx.cfg.noise_power
+    sigma, p = ctx.cfg.noise_power, ctx.params
     best_penalty, best_score = 0.0, np.inf
     for lam in _SA_PENALTY_GRID:
         try:
-            trial = bf.sa_mvdr_weights(fit, ctx.steering, lam * sigma, ctx.params.sa_epsilon)
+            trial = bf.sa_mvdr_weights(fit, ctx.steering, lam * sigma, p.sa_epsilon, p.iterations)
         except NumericalError:
             continue
         score = float((trial.conj() @ score_cov.matrix @ trial).real)
@@ -235,7 +235,8 @@ def _design_lr_jidf(ctx: DesignContext, r_hat):
 def _design_sa_mvdr(ctx: DesignContext, r_hat):
     p = ctx.params
     penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, r_hat)
-    return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon), {"iterations": p.iterations}
+    w = bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon, p.iterations)
+    return w, {"iterations": p.iterations}
 
 
 def _design_ka_mvdr(ctx: DesignContext, r_hat):
@@ -294,9 +295,7 @@ def multiplication_count(
     * ``lr-jio``: the M x M ridge solve (R + delta*I)^-1 s that every
       iteration of :func:`beamformers.jio_design` makes;
     * ``sa-mvdr``: the split-sample penalty search, two more sample
-      covariances and up to 4 x 11 solves; its ``iterations`` is the
-      experiment's ``iterations``, not the reweighting budget of up to 10
-      passes that :func:`beamformers.sa_mvdr_weights` runs;
+      covariances and up to 4 x (``iterations`` + 1) solves;
     * ``smi``/``optimal``: they are charged K*M^2 for the covariance estimate,
       which the runners form once per grid point and share across designs;
     * ``lr-jio``/``lr-jidf``: they count a batch alternation over the whole

@@ -154,6 +154,28 @@ class TestEvdBasis:
         with pytest.raises(ValueError):
             bf.evd_basis(np.eye(2), np.ones(2), 1, "best")
 
+    def test_weight_does_not_depend_on_the_basis_of_a_repeated_eigenvalue(self, monkeypatch):
+        # eigh may return any orthonormal basis of the threefold eigenvalue 1;
+        # both selections, cutting through that eigenspace or not, must give
+        # one weight whichever basis it returned
+        rng = np.random.default_rng(50)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+        values = np.array([5.0, 3.0, 1.0, 1.0, 1.0, 0.5])
+        r = (q * values) @ q.conj().T
+        u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        rotated = q.copy()
+        rotated[:, 2:5] = q[:, 2:5] @ u
+        s = random_steering(rng, 6)
+
+        def designed_in(basis, selection, rank):
+            monkeypatch.setattr(linalg, "eigh_descending", lambda h: (values, basis))
+            return bf.lr_mvdr_weights(bf.evd_basis(r, s, rank, selection), r, s)
+
+        for selection, rank in (("pc", 3), ("pc", 4), ("csm", 2), ("csm", 4)):
+            w = designed_in(q, selection, rank)
+            w_rotated = designed_in(rotated, selection, rank)
+            assert np.abs(w - w_rotated).max() <= 1e-12, (selection, rank)
+
 
 class TestKrylovBasis:
     def test_first_column_is_normalized_steering(self):

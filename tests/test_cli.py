@@ -64,11 +64,13 @@ class TestDeterminism:
             assert read(out1 / name) == read(out2 / name)
 
     def test_blas_thread_count_does_not_change_metrics(self, tmp_path):
-        # every K >= M: below K = M, lr-evd picks eigenvectors out of a degenerate
-        # eigenspace of the sample covariance, and those depend on the BLAS threading
+        # below K = M the sample covariance has a repeated eigenvalue at the
+        # loading floor, whose eigenvectors LAPACK picks differently at each
+        # thread count; lr-evd aligns them with the steering vector, and the
+        # rows there agree to 1e-6 dB, the rows at K >= M to 1e-8 relative
         cfg_path = tmp_path / "s.cfg"
         cfg_path.write_text(
-            "[experiment]\nkind = sinr-vs-snapshots\nk_max = 128\nk_grid = 64, 96, 128\n"
+            "[experiment]\nkind = sinr-vs-snapshots\nk_max = 128\nk_grid = 10, 16, 43, 64, 96, 128\n"
             "runs = 2\nseed = 7\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -83,11 +85,13 @@ class TestDeterminism:
             with open(out / "sinr-vs-snapshots.csv", newline="") as fh:
                 tables.append(list(csv.DictReader(fh)))
         one, two = tables
-        assert len(one) == len(two) == 8 * 3
+        assert len(one) == len(two) == 8 * 6
         for a, b in zip(one, two):
             assert (a["algorithm"], a["x_value"], a["runs"]) == (b["algorithm"], b["x_value"], b["runs"])
+            below_m = int(a["x_value"]) < 64
             for key in ("metric", "std"):
-                assert math.isclose(float(a[key]), float(b[key]), rel_tol=1e-8), (a, b)
+                x, y = float(a[key]), float(b[key])
+                assert abs(x - y) <= 1e-6 if below_m else math.isclose(x, y, rel_tol=1e-8), (a, b)
 
 
 # Imports the CLI before numpy, as every entry point does, then reads the

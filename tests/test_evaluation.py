@@ -148,12 +148,18 @@ class TestDesignTable:
             parse_config_text(f"[experiment]\nalgorithms = {name}-x\n")
 
     def test_sa_mvdr_count_follows_iterations(self, small_design_context):
+        # the experiment's iterations is both the reweighting budget of the
+        # design and the pass count its multiplication count charges
         ctx, r_hat = small_design_context
-        ctx = replace(ctx, params=replace(ctx.params, iterations=3))
-        design = ev.design_algorithm("sa-mvdr", ctx, r_hat)
-        assert design.multiplication_count == ev.multiplication_count(
-            "sa-mvdr", 16, k_snapshots=40, iterations=3
-        )
+        designs = {}
+        for iterations in (1, 3):
+            it_ctx = replace(ctx, params=replace(ctx.params, iterations=iterations))
+            designs[iterations] = ev.design_algorithm("sa-mvdr", it_ctx, r_hat)
+            assert designs[iterations].multiplication_count == ev.multiplication_count(
+                "sa-mvdr", 16, k_snapshots=40, iterations=iterations
+            )
+        assert designs[1].multiplication_count != designs[3].multiplication_count
+        assert np.abs(designs[1].w - designs[3].w).max() > 1e-6
 
     def test_unknown_name_rejected(self, small_design_context):
         ctx, r_hat = small_design_context

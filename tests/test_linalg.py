@@ -17,7 +17,7 @@ def random_hpd(rng, n):
     return a @ a.conj().T + n * np.eye(n)
 
 
-def hpd_solve(a, b):
+def validated_solve(a, b):
     """Validate ``a`` once, as the package does, then solve with the kernels."""
     return linalg.cholesky_solve(linalg.cholesky(scene.CovarianceSet(a).matrix), b)
 
@@ -73,12 +73,12 @@ class TestHpdSolve:
         np.testing.assert_allclose(scene.CovarianceSet(np.eye(3)).solve(b), b, atol=1e-14)
 
     def test_diagonal(self):
-        x = hpd_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        x = validated_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_complex_hand_case(self):
         a = np.array([[2.0, 1j], [-1j, 2.0]])
-        x = hpd_solve(a, np.array([1.0, 0.0]))
+        x = validated_solve(a, np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [2.0 / 3.0, 1j / 3.0], atol=1e-12)
 
     def test_residual_on_random_hpd(self):
@@ -93,12 +93,12 @@ class TestHpdSolve:
         rng = np.random.default_rng(12)
         for n in (3, 8, 16):
             a = random_hpd(rng, n)
-            inv = np.column_stack([hpd_solve(a, np.eye(n)[:, i]) for i in range(n)])
+            inv = np.column_stack([validated_solve(a, np.eye(n)[:, i]) for i in range(n)])
             b = rng.normal(size=n) + 1j * rng.normal(size=n)
-            x = hpd_solve(a, b)
+            x = validated_solve(a, b)
             assert np.linalg.norm(x - inv @ b) <= 1e-8 * np.linalg.norm(inv @ b)
             # stacked right-hand sides solve as columns
-            np.testing.assert_allclose(hpd_solve(a, np.eye(n)), inv, atol=1e-12)
+            np.testing.assert_allclose(validated_solve(a, np.eye(n)), inv, atol=1e-12)
 
     def test_non_pd_reports_pivot(self):
         with pytest.raises(NumericalError, match="pivot 2"):
