@@ -448,7 +448,6 @@ def ka_mvdr_weights(
     """
     s = np.asarray(s, dtype=complex)
     cov = scene.CovarianceSet.of(r_hat)
-    prior = scene.CovarianceSet.of(prior)
     if mode == "fixed_alpha":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("fixed_alpha mode needs alpha in [0, 1]")
