@@ -410,7 +410,9 @@ class PriorPerturbation:
     cnr_offset_db: float = -3.0
 
 
-def ka_prior(cfg: scene.RadarConfig, perturbation: PriorPerturbation | None = None) -> scene.CovarianceSet:
+def ka_prior(
+    cfg: scene.RadarConfig, perturbation: PriorPerturbation | None = None
+) -> scene.CovarianceSet:
     """Synthesize a prior covariance from a perturbed scene.
 
     Stands in for terrain-database or previous-scan knowledge: clutter of a

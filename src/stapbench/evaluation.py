@@ -206,14 +206,14 @@ def _design_smi(ctx: DesignContext, r_hat):
 
 
 def _design_lr_evd(ctx: DesignContext, r_hat):
-    p, s = ctx.params, ctx.steering
-    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(r_hat.snapshots.shape[1], s.size)
+    p, s, k = ctx.params, ctx.steering, r_hat.snapshots.shape[1]
+    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(k, s.size)
     return bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, rank, p.evd_selection), r_hat, s), {"d": rank}
 
 
 def _design_lr_krylov(ctx: DesignContext, r_hat):
-    p, s = ctx.params, ctx.steering
-    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(r_hat.snapshots.shape[1], s.size)
+    p, s, k = ctx.params, ctx.steering, r_hat.snapshots.shape[1]
+    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(k, s.size)
     return bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, rank), r_hat, s), {"d": rank}
 
 

@@ -348,7 +348,8 @@ class TestSinrVsDoppler:
                 )
                 fresh = scene.CovarianceSet.estimate(block, spec.loading)
                 w = ev.design_algorithm(name, bin_ctx, fresh).w
-                reference.append((name, fd, ev.sinr(w, ctx.cov.matrix, bin_ctx.steering, bin_ctx.xi_t), 0.0, 1))
+                value = ev.sinr(w, ctx.cov.matrix, bin_ctx.steering, bin_ctx.xi_t)
+                reference.append((name, fd, value, 0.0, 1))
         assert list(result.rows()) == reference
 
 
