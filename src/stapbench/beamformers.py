@@ -17,7 +17,8 @@ Families implemented:
   metric-selected eigenvectors (``evd_basis``), the Krylov chain of the
   covariance on the steering vector (``krylov_basis``), an alternating
   joint basis/weight optimization (``jio_design``), and the
-  interpolation/decimation branch scheme (``jidf_design``);
+  interpolation/decimation branch scheme (``jidf_design``), which reads the
+  covariance with its diagonal loading taken off;
 * sparsity-aware reweighted design (``sa_mvdr_weights``);
 * knowledge-aided covariance blending (``ka_prior``/``ka_mvdr_weights``).
 """
@@ -277,88 +278,76 @@ def _loaded_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return linalg.cholesky_solve(linalg.cholesky(_plus_diagonal(mat, ridge)), rhs)
 
 
-def jidf_design(
-    snapshots,
-    s,
-    branches: int,
-    interp_len: int,
-    rank: int,
-    iterations: int,
-) -> np.ndarray:
+def _branch_mvdr(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per branch, the minimum-variance solution x / (rhs^H x), x = mat^-1 rhs,
+    of a (B, n, n) stack of matrices (symmetrized first) and a (B, n) stack
+    of constraints."""
+    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+    x = np.stack([_loaded_solve(mat, b) for mat, b in zip(mats, rhs)])
+    return x / np.sum(rhs.conj() * x, axis=1, keepdims=True)
+
+
+def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int) -> np.ndarray:
     """Joint interpolation, decimation and filtering design.
 
-    Each branch filters the snapshot through a short interpolator, decimates
-    it onto ``rank`` fixed indices (branch-specific offsets of one shared
-    pattern), and applies a reduced minimum-variance weight. Interpolator and
-    weight are refined alternately against time-averaged statistics of the
-    supplied design snapshots; the branch with the smallest average output
-    power wins. The returned full-length weight is the composite of the
-    selected branch's three stages and meets w^H s = 1 exactly by the final
-    normalization of the alternation.
+    Each branch filters the snapshot through a short interpolator v (length
+    ``interp_len``), decimates it onto ``rank`` fixed indices z (branch-
+    specific offsets of one shared pattern), and applies a reduced
+    minimum-variance weight w; its full-length weight carries w_d * conj(v_i)
+    at index z_d + i. Interpolator and weight are refined alternately; the
+    branch with the smallest output power wins. The returned weight meets
+    w^H s = 1 exactly by the final normalization of the alternation.
 
-    Args:
-        snapshots: (M, K) design block (columns are target-free snapshots).
-        s: unit-energy steering vector.
-        branches: number of decimation offsets tried.
-        interp_len: interpolator length I.
-        rank: reduced dimension D.
-        iterations: alternations of the weight/interpolator updates.
+    The statistics come from the covariance without its diagonal loading
+    (``CovarianceSet.loading``), so a sample covariance gives the
+    time-averaged statistics of its training snapshots. That matrix,
+    zero-padded past index M-1, is gathered once at every branch's indices
+    z_d + i into a (B, D*I, D*I) tensor, and all branches alternate on it
+    in lockstep.
     """
-    block = np.asarray(snapshots, dtype=complex)
+    cov = scene.CovarianceSet.of(r)
     s = np.asarray(s, dtype=complex)
     m = s.size
-    if block.ndim != 2 or block.shape[0] != m:
-        raise ValueError(f"snapshot block of shape {block.shape} does not have {m} rows")
     if branches < 1:
         raise ValueError("branches must be >= 1")
     if not 1 <= interp_len <= m:
         raise ValueError(f"interp_len must be in [1, {m}], got {interp_len}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    k = block.shape[1]
-    steer_hankel = linalg.hankel_from_vector(s, interp_len)
-    offsets = np.arange(interp_len)
+    z = np.stack([decimation_indices(m, rank, b) for b in range(branches)])  # (B, D)
+    rows = (z[:, :, None] + np.arange(interp_len)).reshape(branches, rank * interp_len)
+    padded = np.zeros((m + interp_len - 1,) * 2, dtype=complex)
+    padded[:m, :m] = _plus_diagonal(cov.matrix, -cov.loading)
+    stats = padded[rows[:, :, None], rows[:, None, :]]  # (B, D*I, D*I)
+    by_window = stats.reshape(branches, rank, interp_len, rank * interp_len)
+    by_rank = stats.reshape(branches, rank, interp_len * rank * interp_len)
+    steer = np.concatenate([s, np.zeros(interp_len - 1, dtype=complex)])[rows]
+    steer = steer.reshape(branches, rank, interp_len)
 
-    best = None  # (mean output power, interpolator, decimation, weight) of the best branch
-    for b in range(branches):
-        z = decimation_indices(m, rank, b)
-        # windows[d, i] is snapshot row z[d] + i, zero past row M-1: the zero
-        # fill the steering Hankel uses
-        rows = z[:, None] + offsets[None, :]  # (D, I)
-        windows = block[np.minimum(rows, m - 1)]  # (D, I, K)
-        windows[rows >= m] = 0.0
-        windows_h = windows.conj().reshape(rank, interp_len * k)
-        steer_windows = steer_hankel[z, :]  # (D, I)
-        v = np.zeros(interp_len, dtype=complex)
-        v[0] = 1.0
-        w = np.full(rank, np.nan, dtype=complex)
-        for _ in range(iterations):
-            # weight update in the decimated/interpolated coordinates
-            interpolated = v @ windows  # (D, K)
-            r_w = interpolated @ interpolated.conj().T / k
-            r_w = 0.5 * (r_w + r_w.conj().T)
-            s_w = steer_windows @ v
-            x = _loaded_solve(r_w, s_w)
-            w = x / (s_w.conj() @ x)
-            # interpolator update against the weight-combined statistics
-            combined = (w @ windows_h).reshape(interp_len, k)  # (I, K)
-            r_v = combined @ combined.conj().T / k
-            r_v = 0.5 * (r_v + r_v.conj().T)
-            s_v = steer_windows.conj().T @ w
-            x = _loaded_solve(r_v, s_v)
-            v = x / (s_v.conj() @ x)
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
-            raise NumericalError(f"non-finite branch state (branch {b + 1})")
-        power = float(np.mean(np.abs(w.conj() @ (v @ windows)) ** 2))
-        if best is None or power < best[0]:
-            best = (power, v, z, w)
-
-    _, v, z, w = best
-    w_full = np.zeros(m, dtype=complex)
-    for d, zi in enumerate(z):
-        stop = min(zi + interp_len, m)
-        w_full[zi:stop] += w[d] * v[: stop - zi].conj()
-    return w_full
+    v = np.zeros((branches, interp_len), dtype=complex)
+    v[:, 0] = 1.0
+    for _ in range(iterations):
+        # weight update: r_w[d, e] = sum_ij v_i stats[(d, i), (e, j)] conj(v_j)
+        r_w = (v[:, None, None, :] @ by_window).reshape(branches, rank, rank, interp_len)
+        r_w = (r_w @ v.conj()[:, None, :, None])[..., 0]
+        s_w = (steer @ v[:, :, None])[..., 0]
+        w = _branch_mvdr(r_w, s_w)
+        # interpolator update: r_v[i, j] = conj(sum_de conj(w_d) stats[(d, i), (e, j)] w_e)
+        r_v = (w.conj()[:, None, :] @ by_rank).reshape(branches, interp_len, rank, interp_len)
+        r_v = (w[:, None, None, :] @ r_v)[:, :, 0, :].conj()
+        s_v = (steer.conj().transpose(0, 2, 1) @ w[:, :, None])[..., 0]
+        v = _branch_mvdr(r_v, s_v)
+    bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(w).all(axis=1))
+    if bad.any():
+        raise NumericalError(f"non-finite branch state (branch {int(np.argmax(bad)) + 1})")
+    # cascade[b, (d, i)] = conj(w_d) v_i is the conjugate of branch b's full-length
+    # weight at z_d + i, so the quadratic form is that weight's output power
+    cascade = (w.conj()[:, :, None] * v[:, None, :]).reshape(branches, rank * interp_len)
+    power = (cascade[:, None, :] @ stats @ cascade.conj()[:, :, None]).real[:, 0, 0]
+    best = int(np.argmin(power))
+    w_full = np.zeros(m + interp_len - 1, dtype=complex)
+    np.add.at(w_full, rows[best], cascade[best].conj())
+    return w_full[:m]
 
 
 # relative weight change at which the sparsity-aware reweighting stops early

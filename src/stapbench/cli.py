@@ -74,8 +74,12 @@ def main(argv=None) -> int:
         overrides = {
             key: value for key, value in vars(args).items() if key != "config" and value is not None
         }
-        if args.seed is None and spec.seed is None and os.environ.get("STAP_BENCH_SEED"):
-            overrides["seed"] = int(os.environ["STAP_BENCH_SEED"])
+        env_seed = os.environ.get("STAP_BENCH_SEED")
+        if args.seed is None and spec.seed is None and env_seed:
+            try:
+                overrides["seed"] = int(env_seed)
+            except ValueError:
+                raise ValueError(f"STAP_BENCH_SEED must be an integer, got {env_seed!r}") from None
         if overrides:
             spec = replace(spec, **overrides)
         result = run_experiment(cfg, target, spec)

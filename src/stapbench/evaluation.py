@@ -132,8 +132,8 @@ class AlgorithmParams:
     ka_mode: str = "optimal_eta"
     ka_alpha: float = 0.5
     ka_eta: float = 0.5
-    prior_velocity_fraction: float = 0.05
-    prior_cnr_offset_db: float = -3.0
+    prior_velocity_fraction: float = bf.PriorPerturbation.velocity_fraction
+    prior_cnr_offset_db: float = bf.PriorPerturbation.cnr_offset_db
 
 
 def adaptive_rank(k_snapshots: int, m: int) -> int:
@@ -228,7 +228,7 @@ def _design_lr_jidf(ctx: DesignContext, r_hat):
     m = s.size
     rank, interp_len = min(p.rank, m), min(p.interp_len, m)
     branches = bf.valid_branch_count(m, rank, p.branches)
-    w = bf.jidf_design(r_hat.snapshots, s, branches, interp_len, rank, p.iterations)
+    w = bf.jidf_design(r_hat, s, branches, interp_len, rank, p.iterations)
     return w, {"d": rank, "b": branches, "i_len": interp_len, "iterations": p.iterations}
 
 
@@ -285,9 +285,9 @@ def multiplication_count(
     Counting convention (one unit per complex multiply): covariance
     estimation costs K*M^2; a Hermitian solve/inversion M^3; an
     eigendecomposition 10*M^3; reduced-rank projections D*M^2 and reduced
-    solves D^3. The branch scheme never forms an M x M covariance, which is
-    where its advantage comes from. Without ``k_snapshots`` the training set
-    scales with the problem (K = M).
+    solves D^3. The branch scheme is charged for no M x M covariance, which
+    is where its advantage comes from. Without ``k_snapshots`` the training
+    set scales with the problem (K = M).
 
     The formulas are the paper's cost model, not a trace of this code. They
     leave out:
@@ -298,9 +298,12 @@ def multiplication_count(
       covariances and up to 4 x (``iterations`` + 1) solves;
     * ``smi``/``optimal``: they are charged K*M^2 for the covariance estimate,
       which the runners form once per grid point and share across designs;
-    * ``lr-jio``/``lr-jidf``: they count a batch alternation over the whole
-      training block, not the per-snapshot recursions of de Lamare &
-      Sampaio-Neto (2009) and Fa, de Lamare & Wang (2011).
+    * ``lr-jio``: it counts a batch alternation on the covariance, not the
+      per-snapshot recursion of Fa, de Lamare & Wang (2011);
+    * ``lr-jidf``: it counts the per-iteration model of de Lamare &
+      Sampaio-Neto (2009), while :func:`beamformers.jidf_design` gathers the
+      unloaded covariance once into a (B, D*I, D*I) tensor and alternates on
+      it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")

@@ -16,7 +16,6 @@ __all__ = [
     "eigh_descending",
     "cholesky",
     "cholesky_solve",
-    "hankel_from_vector",
     "covariance_factor",
     "complex_standard_normal",
 ]
@@ -101,28 +100,6 @@ def cholesky_solve(factor: np.ndarray, b) -> np.ndarray:
     if info < 0:
         raise NumericalError(f"triangular solve rejected argument {-info}")
     return x
-
-
-def hankel_from_vector(x, width: int) -> np.ndarray:
-    """Hankel matrix whose (m, i) entry is x[m+i], zero once m+i runs past the end.
-
-    Args:
-        x: length-M vector.
-        width: number of columns, 1 <= width <= M.
-
-    Returns:
-        M x width matrix with constant anti-diagonals and zero fill below the
-        main anti-diagonal.
-    """
-    vec = np.asarray(x, dtype=complex)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError("input must be a nonempty vector")
-    m = vec.size
-    if not 1 <= width <= m:
-        raise ValueError(f"width must be in [1, {m}], got {width}")
-    padded = np.concatenate([vec, np.zeros(width - 1, dtype=complex)])
-    idx = np.arange(m)[:, None] + np.arange(width)[None, :]
-    return padded[idx]
 
 
 def covariance_factor(r) -> np.ndarray:

@@ -265,7 +265,9 @@ class TestOracleEquivalences:
         cov = scene.total_covariance(CFG)
         block = scene.draw_interference_block(cov, 160, rng)
         s = scene.target_steering(CFG, TARGET)
-        w = bf.jidf_design(block, s, branches=1, interp_len=1, rank=64, iterations=4)
+        w = bf.jidf_design(
+            scene.CovarianceSet.estimate(block, 0.0), s, branches=1, interp_len=1, rank=64, iterations=4
+        )
         smi = bf.mvdr_weights(scene.sample_covariance(block, 0.0), s)
         gap = np.abs(w - smi).max()
         announce("degenerate branch scheme equals SMI", gap <= 1e-8, f"max gap {gap:.2e}")
@@ -308,7 +310,7 @@ class TestOracleEquivalences:
             bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, 34, "csm"), r_hat, s),
             bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, 12), r_hat, s),
             bf.jio_design(r_hat, s, 6, 5),
-            bf.jidf_design(block, s, 8, 8, 6, 5),
+            bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
             bf.sa_mvdr_weights(r_hat, s, 1.0),
             bf.ka_mvdr_weights(r_hat, prior, s),
         ]

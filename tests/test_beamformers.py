@@ -297,6 +297,56 @@ class TestJio:
         assert peak <= 4 * 2**20
 
 
+def _loaded_solve_reference(mat, rhs):
+    try:
+        return linalg.cholesky_solve(linalg.cholesky(mat), rhs)
+    except NumericalError:
+        ridge = 1e-6 * float(np.trace(mat).real) / mat.shape[0]
+        if ridge <= 0.0:
+            ridge = 1e-12
+        return linalg.cholesky_solve(linalg.cholesky(mat + ridge * np.eye(mat.shape[0])), rhs)
+
+
+def _jidf_block_reference(block, s, branches, interp_len, rank, iterations):
+    """The branch scheme on the raw (M, K) training block: every branch in
+    turn gathers its (D, I, K) snapshot windows and forms its statistics as
+    time averages over them."""
+    m, k = block.shape
+    padded_s = np.concatenate([s, np.zeros(interp_len - 1, dtype=complex)])
+    best = None
+    for b in range(branches):
+        z = bf.decimation_indices(m, rank, b)
+        rows = z[:, None] + np.arange(interp_len)[None, :]  # (D, I)
+        windows = block[np.minimum(rows, m - 1)]  # (D, I, K), zero past row M-1
+        windows[rows >= m] = 0.0
+        windows_h = windows.conj().reshape(rank, interp_len * k)
+        steer_windows = padded_s[rows]
+        v = np.zeros(interp_len, dtype=complex)
+        v[0] = 1.0
+        for _ in range(iterations):
+            interpolated = v @ windows  # (D, K)
+            r_w = interpolated @ interpolated.conj().T / k
+            r_w = 0.5 * (r_w + r_w.conj().T)
+            s_w = steer_windows @ v
+            x = _loaded_solve_reference(r_w, s_w)
+            w = x / (s_w.conj() @ x)
+            combined = (w @ windows_h).reshape(interp_len, k)  # (I, K)
+            r_v = combined @ combined.conj().T / k
+            r_v = 0.5 * (r_v + r_v.conj().T)
+            s_v = steer_windows.conj().T @ w
+            x = _loaded_solve_reference(r_v, s_v)
+            v = x / (s_v.conj() @ x)
+        power = float(np.mean(np.abs(w.conj() @ (v @ windows)) ** 2))
+        if best is None or power < best[0]:
+            best = (power, v, z, w)
+    _, v, z, w = best
+    w_full = np.zeros(m, dtype=complex)
+    for d, zi in enumerate(z):
+        stop = min(zi + interp_len, m)
+        w_full[zi:stop] += w[d] * v[: stop - zi].conj()
+    return w_full
+
+
 class TestJidf:
     def test_pattern_m4_d2(self):
         np.testing.assert_array_equal(bf.decimation_indices(4, 2, 0), [0, 2])
@@ -319,6 +369,25 @@ class TestJidf:
         # offset 3 collides
         assert bf.valid_branch_count(8, 4, 8) == 3
 
+    @pytest.mark.parametrize("sensors", (4, 8))
+    @pytest.mark.parametrize("k_ratio", (0.5, 2.0))
+    @pytest.mark.parametrize("loading", (0.0, 0.01))
+    @pytest.mark.parametrize("branches,interp_len", ((1, 1), (3, 4), (8, 8)))
+    def test_matches_block_reference(self, sensors, k_ratio, loading, branches, interp_len):
+        # the design reads the covariance with its loading taken off, which
+        # holds the same statistics as the raw training block
+        cfg = scene.RadarConfig(num_sensors=sensors, num_pulses=sensors)
+        m = cfg.size
+        rank = {16: 2, 64: 6}[m]  # both leave all 8 branch patterns duplicate-free
+        cov = scene.total_covariance(cfg)
+        s = scene.target_steering(cfg, TABLE_TGT)
+        block = scene.draw_interference_block(cov, int(k_ratio * m), np.random.default_rng(m))
+        w = bf.jidf_design(
+            scene.CovarianceSet.estimate(block, loading), s, branches, interp_len, rank, 5
+        )
+        ref = _jidf_block_reference(block, s, branches, interp_len, rank, 5)
+        assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def test_degenerate_configuration_reduces_to_smi(self):
         cfg = scene.RadarConfig(
             num_sensors=3,
@@ -330,7 +399,10 @@ class TestJidf:
         cov = scene.total_covariance(cfg)
         block = scene.draw_interference_block(cov, 40, np.random.default_rng(3))
         s = scene.target_steering(cfg, scene.TargetSpec(0.0, 50.0, 0.0))
-        w = bf.jidf_design(block, s, branches=1, interp_len=1, rank=cfg.size, iterations=3)
+        w = bf.jidf_design(
+            scene.CovarianceSet.estimate(block, 0.0), s, branches=1, interp_len=1, rank=cfg.size,
+            iterations=3,
+        )
         smi = bf.mvdr_weights(scene.sample_covariance(block, 0.0), s)
         np.testing.assert_allclose(w, smi, atol=1e-8)
 
@@ -340,9 +412,10 @@ class TestJidf:
         # power cannot rise as branches are added
         cov, s = table_scene
         block = scene.draw_interference_block(cov, 200, np.random.default_rng(4))
+        r_hat = scene.CovarianceSet.estimate(block, 0.0)
         powers = []
         for branches in range(1, 9):
-            w = bf.jidf_design(block, s, branches, 8, 6, 5)
+            w = bf.jidf_design(r_hat, s, branches, 8, 6, 5)
             assert abs(w.conj() @ s - 1.0) <= 1e-8
             powers.append(float(np.mean(np.abs(w.conj() @ block) ** 2)))
         for fewer, more in zip(powers, powers[1:]):
@@ -356,7 +429,7 @@ class TestJidf:
         # reduced weight and the conjugated interpolator
         cov, s = table_scene
         block = scene.draw_interference_block(cov, 150, np.random.default_rng(5))
-        w = bf.jidf_design(block, s, 4, 8, 6, 3)
+        w = bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 4, 8, 6, 3)
         matches = []
         for b in range(4):
             rows = bf.decimation_indices(64, 6, b)[:, None] + np.arange(8)[None, :]
@@ -521,7 +594,7 @@ class TestCrossDesignProperties:
             "lr-evd": bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, 30, "csm"), r_hat, s),
             "lr-krylov": bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, 12), r_hat, s),
             "lr-jio": bf.jio_design(r_hat, s, 6, 5),
-            "lr-jidf": bf.jidf_design(block, s, 8, 8, 6, 5),
+            "lr-jidf": bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
             "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 1.0),
             "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s),
         }
@@ -539,7 +612,7 @@ class TestCrossDesignProperties:
             "mvdr": bf.mvdr_weights(r_hat, s),
             "lr-krylov": bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, 20), r_hat, s),
             "lr-jio": bf.jio_design(r_hat, s, 6, 5),
-            "lr-jidf": bf.jidf_design(block, s, 8, 8, 6, 5),
+            "lr-jidf": bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
             "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 0.5),
             "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s),
         }

@@ -189,6 +189,9 @@ class TestExitCodes:
         monkeypatch.setenv("STAP_BENCH_SEED", "-3")
         assert cli.main(["--config", str(cfg_path)]) == 2
         assert "seed" in capsys.readouterr().err
+        monkeypatch.setenv("STAP_BENCH_SEED", "abc")
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        assert "STAP_BENCH_SEED" in capsys.readouterr().err
         monkeypatch.delenv("STAP_BENCH_SEED")
         cfg_path.write_text("master_seed = -5\n" + TOY_SCENE.replace("seed = 4\n", ""))
         assert cli.main(["--config", str(cfg_path)]) == 2

@@ -1,4 +1,4 @@
-"""Kernel tests: validation, eigendecomposition, HPD solves, Kronecker layout, Hankel, sampling."""
+"""Kernel tests: validation, eigendecomposition, HPD solves, Kronecker layout, sampling."""
 
 import numpy as np
 import pytest
@@ -130,36 +130,6 @@ class TestKron:
         expect[0:2, 0:2] = expect[2:4, 2:4] = np.eye(2)
         expect[0:2, 2:4] = expect[2:4, 0:2] = -np.eye(2)
         np.testing.assert_allclose(scene.jammer_covariance(cfg), expect, atol=1e-12)
-
-
-class TestHankel:
-    def test_three_by_two(self):
-        a, b, c = 1.0 + 1j, 2.0, -3j
-        out = linalg.hankel_from_vector(np.array([a, b, c]), 2)
-        np.testing.assert_allclose(out, [[a, b], [b, c], [c, 0.0]])
-
-    def test_width_one_is_column_copy(self):
-        x = np.array([1.0, 2.0, 5.0])
-        np.testing.assert_allclose(linalg.hankel_from_vector(x, 1).ravel(), x)
-
-    def test_four_by_three(self):
-        out = linalg.hankel_from_vector(np.array([1.0, 2.0, 3.0, 4.0]), 3)
-        np.testing.assert_allclose(out, [[1, 2, 3], [2, 3, 4], [3, 4, 0], [4, 0, 0]])
-
-    def test_constant_antidiagonals(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=12) + 1j * rng.normal(size=12)
-        out = linalg.hankel_from_vector(x, 5)
-        for m in range(12):
-            for i in range(5):
-                expect = x[m + i] if m + i < 12 else 0.0
-                assert out[m, i] == expect
-
-    def test_width_out_of_range(self):
-        with pytest.raises(ValueError):
-            linalg.hankel_from_vector(np.ones(3), 4)
-        with pytest.raises(ValueError):
-            linalg.hankel_from_vector(np.ones(3), 0)
 
 
 def draw(r, rng, count):
