@@ -9,6 +9,10 @@ eigendecomposition are then shared by every design that reads it. Matrices a
 design forms itself are Hermitian by construction and go to the unchecked
 kernels ``linalg.cholesky``/``linalg.cholesky_solve``.
 
+Every design but JIDF ends in one scaling step (``_distortionless``): a
+direction x becomes x / (s^H x), and the design raises ``NumericalError``
+when Re(s^H x) <= 0, since then x has no usable response to s.
+
 Families implemented:
 
 * full-rank minimum-variance (``mvdr_weights``), which doubles as the
@@ -45,14 +49,18 @@ __all__ = [
 ]
 
 
+def _distortionless(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` scaled to s^H x = 1; raises NumericalError unless Re(s^H x) > 0."""
+    denom = s.conj() @ x
+    if not denom.real > 0:
+        raise NumericalError(f"steering response is not positive: {denom:.3e}")
+    return x / denom
+
+
 def mvdr_weights(r, s) -> np.ndarray:
     """Minimum-variance distortionless weights w = R^-1 s / (s^H R^-1 s)."""
     s = np.asarray(s, dtype=complex)
-    x = scene.CovarianceSet.of(r).solve(s)
-    denom = s.conj() @ x
-    if not denom.real > 0:
-        raise NumericalError(f"steering quadratic form is not positive: {denom:.3e}")
-    return x / denom
+    return _distortionless(s, scene.CovarianceSet.of(r).solve(s))
 
 
 def _plus_diagonal(a: np.ndarray, d) -> np.ndarray:
@@ -62,29 +70,22 @@ def _plus_diagonal(a: np.ndarray, d) -> np.ndarray:
     return out
 
 
-def _reduced_mvdr(r: np.ndarray, s, basis: np.ndarray) -> np.ndarray:
-    """Solve the minimum-variance problem inside span(basis).
+def lr_mvdr_weights(basis: np.ndarray, r, s) -> np.ndarray:
+    """Reduced-rank minimum-variance weights through an (M, D) rank-reduction basis.
 
-    ``r`` is an exactly Hermitian array. Returns the full-length weight.
-    Raises NumericalError when the projected covariance is rank-deficient.
+    Solves the minimum-variance problem inside span(basis) and returns the
+    full-length weight. Raises NumericalError when the projected covariance
+    is rank-deficient.
     """
-    s = np.asarray(s, dtype=complex)
+    r = scene.CovarianceSet.of(r).matrix
     rd = basis.conj().T @ r @ basis
     rd = 0.5 * (rd + rd.conj().T)
-    sd = basis.conj().T @ s
+    sd = basis.conj().T @ np.asarray(s, dtype=complex)
     try:
         x = linalg.cholesky_solve(linalg.cholesky(rd), sd)
     except NumericalError as exc:
         raise NumericalError(f"projected covariance is rank-deficient: {exc}") from exc
-    denom = sd.conj() @ x
-    if not denom.real > 0:
-        raise NumericalError("steering has no component in the basis")
-    return basis @ (x / denom)
-
-
-def lr_mvdr_weights(basis: np.ndarray, r, s) -> np.ndarray:
-    """Reduced-rank minimum-variance weights through an (M, D) rank-reduction basis."""
-    return _reduced_mvdr(scene.CovarianceSet.of(r).matrix, s, basis)
+    return basis @ _distortionless(sd, x)
 
 
 def _steering_aligned(values: np.ndarray, vectors: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -106,7 +107,7 @@ def _steering_aligned(values: np.ndarray, vectors: np.ndarray, s: np.ndarray) ->
     return vectors
 
 
-def evd_basis(r, s, rank: int, selection: str = "pc") -> np.ndarray:
+def evd_basis(r, s, rank: int, selection: str) -> np.ndarray:
     """Eigenvector basis: dominant eigenvalues ("pc") or best metric ("csm").
 
     The cross-spectral metric (Goldstein & Reed, IEEE TSP 45(2), 1997) ranks
@@ -205,7 +206,8 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
     nonincreasing across iterations; with rank = M the first candidate spans
     the whole space and the design coincides with full minimum variance.
     """
-    r = scene.CovarianceSet.of(r).matrix
+    cov = scene.CovarianceSet.of(r)
+    r = cov.matrix
     s = np.asarray(s, dtype=complex)
     m = s.size
     if not 1 <= rank <= m:
@@ -214,7 +216,7 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
         raise ValueError("iterations must be >= 1")
     identity_cols = list(np.eye(m, dtype=complex))  # the rows of I are its columns, on one base
     basis = np.column_stack(identity_cols[:rank])
-    w = _reduced_mvdr(r, s, basis)
+    w = lr_mvdr_weights(basis, cov, s)
     objective = float((w.conj() @ r @ w).real)
     scale = float(np.trace(r).real) / m
     ladder_dirs: list[np.ndarray] = []
@@ -225,7 +227,7 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
         gradient_dirs.append(r @ w)
         pool = [s, w] + ladder_dirs[::-1] + gradient_dirs[::-1] + identity_cols
         candidate = _orthonormal_from(pool, rank)
-        w_new = _reduced_mvdr(r, s, candidate)
+        w_new = lr_mvdr_weights(candidate, cov, s)
         if not np.all(np.isfinite(w_new)):
             raise NumericalError(f"non-finite weight at iteration {it + 1}")
         new_objective = float((w_new.conj() @ r @ w_new).real)
@@ -354,13 +356,7 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
 SA_TOLERANCE = 1e-8
 
 
-def sa_mvdr_weights(
-    r,
-    s,
-    penalty: float,
-    epsilon: float = 0.1,
-    iterations: int = 10,
-) -> np.ndarray:
+def sa_mvdr_weights(r, s, penalty: float, epsilon: float, iterations: int) -> np.ndarray:
     """Sparsity-aware minimum-variance design by iterative reweighting.
 
     The l1 penalty on the weights is handled through the quadratic surrogate
@@ -382,8 +378,7 @@ def sa_mvdr_weights(
         for _ in range(iterations):
             reweight = 1.0 / (np.abs(w) + epsilon)
             loaded = _plus_diagonal(cov.matrix, penalty * reweight)
-            x = linalg.cholesky_solve(linalg.cholesky(loaded), s)
-            w_new = x / (s.conj() @ x)
+            w_new = _distortionless(s, linalg.cholesky_solve(linalg.cholesky(loaded), s))
             change = np.linalg.norm(w_new - w) / max(np.linalg.norm(w), 1e-300)
             w = w_new
             if change <= SA_TOLERANCE:
@@ -418,7 +413,7 @@ def ka_mvdr_weights(
     r_hat,
     prior: scene.CovarianceSet,
     s,
-    mode: str = "optimal_eta",
+    mode: str,
     alpha: float | None = None,
     eta: float | None = None,
 ) -> np.ndarray:
@@ -459,9 +454,5 @@ def ka_mvdr_weights(
     else:
         if eta is None or not 0.0 <= eta <= 1.0:
             raise ValueError("fixed_eta mode needs eta in [0, 1]")
-    direction = eta * prior_dir + (1.0 - eta) * data_dir
-    denom = s.conj() @ direction
-    if abs(denom) <= 1e-300:
-        raise NumericalError("blended direction is orthogonal to the steering vector")
-    return direction / denom
+    return _distortionless(s, eta * prior_dir + (1.0 - eta) * data_dir)
 

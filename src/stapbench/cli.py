@@ -18,8 +18,8 @@ from pathlib import Path
 # to load numpy. At M <= 256 a second thread costs more than it saves.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import evaluation, scene, storage
-from .config_io import ExperimentSpec, parse_config
+from . import evaluation, storage
+from .config_io import parse_config, parse_config_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_experiment(cfg, target, spec: ExperimentSpec):
+def run_experiment(cfg, target, spec):
     """Run the experiment ``spec`` describes; returns its ExperimentResult."""
     return getattr(evaluation, evaluation.RUNNERS[spec.kind])(cfg, target, spec)
 
@@ -66,10 +66,7 @@ def print_summary(result, stream=None) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg, target, spec = parse_config(args.config)
-        else:
-            cfg, target, spec = scene.RadarConfig(), scene.TargetSpec(), ExperimentSpec()
+        cfg, target, spec = parse_config(args.config) if args.config else parse_config_text("")
         # every flag but --config overrides the experiment field it is named for
         overrides = {
             key: value for key, value in vars(args).items() if key != "config" and value is not None
@@ -94,20 +91,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     print_summary(result)
 
-    budget_exceeded = []
-    for name, fail_count in result.failures.items():
-        total = result.designs.get(name, 0)
-        if total and fail_count > spec.failure_budget * total:
-            budget_exceeded.append((name, fail_count, total))
-    if budget_exceeded:
-        for name, fail_count, total in budget_exceeded:
-            print(
-                f"error: {name} failed {fail_count}/{total} designs "
-                f"(budget {spec.failure_budget:.0%})",
-                file=sys.stderr,
-            )
-        return EXIT_NUMERIC
-    return EXIT_OK
+    total, budget = result.designs, spec.failure_budget
+    exceeded = [(name, fails) for name, fails in result.failures.items() if fails > budget * total]
+    for name, fails in exceeded:
+        print(f"error: {name} failed {fails}/{total} designs (budget {budget:.0%})", file=sys.stderr)
+    return EXIT_NUMERIC if exceeded else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ merged by run index.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +55,15 @@ class CurvePoint:
 
 @dataclass
 class ExperimentResult:
-    """Tabulated metric curves with per-algorithm bookkeeping."""
+    """Tabulated metric curves, each algorithm's failed-design count, and the
+    number of designs every algorithm made (runs x grid points, or design
+    blocks for a Pd sweep)."""
 
     kind: str
     metric_label: str
     curves: dict
     failures: dict = field(default_factory=dict)
-    designs: dict = field(default_factory=dict)
+    designs: int = 0
 
     def rows(self):
         """Deterministic (algorithm, x, metric, std, runs) rows for CSV export."""
@@ -145,7 +148,7 @@ def adaptive_rank(k_snapshots: int, m: int) -> int:
     return int(min(m, max(6, round(k_snapshots / 5))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignContext:
     """Everything a designer may draw on besides the training data."""
 
@@ -155,6 +158,14 @@ class DesignContext:
     xi_t: float
     params: AlgorithmParams
     prior: scene.CovarianceSet | None = None
+
+    @cached_property
+    def optimal_weight(self) -> np.ndarray:
+        """The clairvoyant weight on the true covariance, designed on first use
+        and kept with this context; ``replace`` builds a context without it.
+        The bare matrix is factored for this one design: a factor cached on
+        ``cov`` would live for the whole study."""
+        return bf.mvdr_weights(self.cov.matrix, self.steering)
 
 
 @dataclass
@@ -197,8 +208,7 @@ def _select_sa_penalty(ctx: DesignContext, r_hat: scene.CovarianceSet) -> float:
 
 
 def _design_optimal(ctx: DesignContext, r_hat):
-    # the bare matrix: a factor cached on ctx.cov would live for the whole study
-    return bf.mvdr_weights(ctx.cov.matrix, ctx.steering), {}
+    return ctx.optimal_weight.copy(), {}  # the cached weight stays as designed
 
 
 def _design_smi(ctx: DesignContext, r_hat):
@@ -378,7 +388,7 @@ def _aggregate(kind, metric_label, algorithms, grid, samples, trials=None) -> Ex
     """
     samples = np.asarray(samples, dtype=float)
     runs = samples.shape[0]
-    curves, failures, designs = {}, {}, {}
+    curves, failures = {}, {}
     for ai, name in enumerate(algorithms):
         ok = np.isfinite(samples[:, ai, :])
         points = []
@@ -394,10 +404,8 @@ def _aggregate(kind, metric_label, algorithms, grid, samples, trials=None) -> Ex
                 std = math.sqrt(max(value * (1.0 - value), 0.0) / n) if n else 0.0
             points.append(CurvePoint(x, value, std, n))
         curves[name] = points
-        if trials is None:
-            failures[name], designs[name] = int((~ok).sum()), runs * len(grid)
-        else:
-            failures[name], designs[name] = int((~ok).any(axis=1).sum()), runs
+        failures[name] = int((~ok).sum() if trials is None else (~ok).any(axis=1).sum())
+    designs = runs * len(grid) if trials is None else runs
     return ExperimentResult(kind, metric_label, curves, failures, designs)
 
 
@@ -464,17 +472,18 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
     ctx, seed = _start("sinr-vs-doppler", cfg, target, spec)
     algorithms, k_train = spec.algorithms, spec.effective_k_train()
     grid = tuple(float(f) for f in spec.doppler_grid())
+    # one context per bin for the whole study, so each bin designs optimal once
+    bins = [
+        replace(ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt))
+        for tgt in (replace(target, doppler_hz=fd) for fd in grid)
+    ]
 
     def one_run(run_idx: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
         r_hat = scene.CovarianceSet.estimate(block, spec.loading)
         values = np.full((len(algorithms), len(grid)), np.nan)
-        for gi, fd in enumerate(grid):
-            tgt = replace(target, doppler_hz=fd)
-            fd_ctx = replace(
-                ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)
-            )
+        for gi, fd_ctx in enumerate(bins):
             values[:, gi] = _sinr_of_designs(fd_ctx, algorithms, r_hat)
         return values
 

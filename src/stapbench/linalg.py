@@ -57,6 +57,14 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+def _eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``, with a failure to converge raised as NumericalError."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+
+
 def eigh_descending(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian ``h``, sorted by descending eigenvalue.
 
@@ -66,10 +74,7 @@ def eigh_descending(h) -> tuple[np.ndarray, np.ndarray]:
     orthonormal eigenvectors as the columns of ``vectors``, so that
     ``h ≈ vectors @ diag(values) @ vectors^H``.
     """
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+    values, vectors = _eigh(h)
     return values[::-1], vectors[:, ::-1]
 
 
@@ -121,10 +126,7 @@ def covariance_factor(r) -> np.ndarray:
         NumericalError: if an eigenvalue is negative beyond tolerance
             (1e-10 of the largest eigenvalue).
     """
-    try:
-        values, vectors = np.linalg.eigh(r)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
+    values, vectors = _eigh(r)
     top = max(float(values.max()), 0.0) if values.size else 0.0
     if values.size and float(values.min()) < -1e-10 * max(top, _ABS_FLOOR):
         raise NumericalError(

@@ -236,7 +236,7 @@ class TestOracleEquivalences:
         r_hat = scene.sample_covariance(block, 0.01)
         s = scene.target_steering(CFG, TARGET)
         gap = np.abs(
-            bf.sa_mvdr_weights(r_hat, s, 0.0) - bf.mvdr_weights(r_hat, s)
+            bf.sa_mvdr_weights(r_hat, s, 0.0, 0.1, 10) - bf.mvdr_weights(r_hat, s)
         ).max()
         announce("zero-penalty sparse design equals SMI", gap <= 1e-12, f"max gap {gap:.2e}")
         assert gap <= 1e-12
@@ -311,8 +311,8 @@ class TestOracleEquivalences:
             bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, 12), r_hat, s),
             bf.jio_design(r_hat, s, 6, 5),
             bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
-            bf.sa_mvdr_weights(r_hat, s, 1.0),
-            bf.ka_mvdr_weights(r_hat, prior, s),
+            bf.sa_mvdr_weights(r_hat, s, 1.0, 0.1, 10),
+            bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta"),
         ]
         worst = max(abs(w.conj() @ s - 1.0) for w in designs)
         announce("distortionless constraint everywhere", worst <= 1e-8, f"worst {worst:.2e}")

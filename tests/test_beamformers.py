@@ -130,6 +130,13 @@ class TestLowRankMvdr:
         with pytest.raises(NumericalError, match="projected covariance is rank-deficient"):
             bf.lr_mvdr_weights(basis, np.eye(4), np.ones(4) / 2)
 
+    def test_basis_orthogonal_to_steering_is_reported(self):
+        # the projected covariance is fine, but the steering has no component
+        # in the basis: Re(s^H x) = 0 fails the one distortionless rule
+        basis = np.eye(3, dtype=complex)[:, 1:2]
+        with pytest.raises(NumericalError, match="steering response is not positive"):
+            bf.lr_mvdr_weights(basis, np.eye(3), np.eye(3, dtype=complex)[:, 0])
+
 
 class TestEvdBasis:
     def test_isotropic_spectrum_orthonormal(self):
@@ -448,13 +455,13 @@ class TestSparseMvdr:
         r = random_hpd(rng, 6)
         s = random_steering(rng, 6)
         np.testing.assert_allclose(
-            bf.sa_mvdr_weights(r, s, 0.0), bf.mvdr_weights(r, s), atol=1e-14
+            bf.sa_mvdr_weights(r, s, 0.0, 0.1, 10), bf.mvdr_weights(r, s), atol=1e-14
         )
 
     def test_single_active_weight_fixed_point(self):
         s = np.eye(3)[:, 0]
         for lam in (0.1, 1.0, 10.0):
-            w = bf.sa_mvdr_weights(np.eye(3), s, lam, epsilon=0.1)
+            w = bf.sa_mvdr_weights(np.eye(3), s, lam, epsilon=0.1, iterations=10)
             np.testing.assert_allclose(w, s, atol=1e-10)
 
     def test_symmetric_fixed_point(self):
@@ -505,7 +512,7 @@ class TestSparseMvdr:
         r = random_hpd(rng, 5)
         s = random_steering(rng, 5)
         for iterations in (1, 3, 7):
-            w = bf.sa_mvdr_weights(r, s, 2.0, iterations=iterations)
+            w = bf.sa_mvdr_weights(r, s, 2.0, epsilon=0.1, iterations=iterations)
             assert abs(w.conj() @ s - 1.0) <= 1e-8
 
 
@@ -595,8 +602,8 @@ class TestCrossDesignProperties:
             "lr-krylov": bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, 12), r_hat, s),
             "lr-jio": bf.jio_design(r_hat, s, 6, 5),
             "lr-jidf": bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
-            "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 1.0),
-            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s),
+            "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 1.0, 0.1, 10),
+            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta"),
         }
         for name, w in designs.items():
             assert abs(w.conj() @ s - 1.0) <= 1e-8, name
@@ -613,8 +620,8 @@ class TestCrossDesignProperties:
             "lr-krylov": bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, 20), r_hat, s),
             "lr-jio": bf.jio_design(r_hat, s, 6, 5),
             "lr-jidf": bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
-            "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 0.5),
-            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s),
+            "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 0.5, 0.1, 10),
+            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta"),
         }
         for name, w in candidates.items():
             assert sinr_linear(w, cov.matrix, s) <= bound * (1 + 1e-9), name
@@ -651,10 +658,12 @@ class TestCrossDesignProperties:
 
 BOUNDARY_DESIGNS = {
     "mvdr_weights": lambda r, s: bf.mvdr_weights(r, s),
-    "sa_mvdr_weights": lambda r, s: bf.sa_mvdr_weights(r, s, 1.0),
-    "ka_mvdr_weights": lambda r, s: bf.ka_mvdr_weights(r, scene.CovarianceSet(np.eye(s.size)), s),
+    "sa_mvdr_weights": lambda r, s: bf.sa_mvdr_weights(r, s, 1.0, 0.1, 10),
+    "ka_mvdr_weights": lambda r, s: bf.ka_mvdr_weights(
+        r, scene.CovarianceSet(np.eye(s.size)), s, mode="optimal_eta"
+    ),
     "jio_design": lambda r, s: bf.jio_design(r, s, 2, 2),
-    "evd_basis": lambda r, s: bf.evd_basis(r, s, 2),
+    "evd_basis": lambda r, s: bf.evd_basis(r, s, 2, "pc"),
     "krylov_basis": lambda r, s: bf.krylov_basis(r, s, 2),
 }
 
@@ -689,6 +698,6 @@ class TestValidationAtTheBoundary:
         monkeypatch.setattr(linalg, "require_hermitian", counting_check)
         monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
         rng = np.random.default_rng(41)
-        bf.sa_mvdr_weights(random_hpd(rng, 16, floor=1.0), random_steering(rng, 16), 1.0)
+        bf.sa_mvdr_weights(random_hpd(rng, 16, floor=1.0), random_steering(rng, 16), 1.0, 0.1, 10)
         assert len(factored) > 2  # the start and at least two reweighting passes
         assert len(checked) == 1

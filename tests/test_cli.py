@@ -231,6 +231,10 @@ class TestExitCodes:
         cfg_path.write_text(TOY_SCENE)
         assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
         assert "budget" in capsys.readouterr().err
+        # a Pd sweep makes one design per block, scored across the whole grid
+        cfg_path.write_text(TOY_SCENE.replace("sinr-vs-snapshots", "pd-vs-snr") + "trials = 400\ndesigns = 4\n")
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "p")]) == 3
+        assert "error: smi failed 4/4 designs" in capsys.readouterr().err
 
     def test_nan_design_exit_is_three(self, tmp_path, monkeypatch, capsys):
         from stapbench import evaluation as ev

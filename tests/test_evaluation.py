@@ -352,6 +352,31 @@ class TestSinrVsDoppler:
                 reference.append((name, fd, value, 0.0, 1))
         assert list(result.rows()) == reference
 
+    def test_optimal_factors_the_true_covariance_once_per_bin(self, monkeypatch):
+        # optimal's weight depends only on the steering vector: each of the 5
+        # bins designs it once for both runs, where a design per run and bin
+        # would factor the true covariance 10 times
+        cfg = scene.RadarConfig(
+            num_sensors=4, num_pulses=4, cnr_db=30.0,
+            jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
+        )
+        spec = ExperimentSpec(
+            kind="sinr-vs-doppler", algorithms=ev.ALGORITHMS, doppler_min_hz=-100.0,
+            doppler_max_hz=100.0, doppler_step_hz=50.0, k_train=40, runs=2, seed=6,
+        )
+        r_total = scene.total_covariance(cfg).matrix
+        factored = []
+        real_cholesky = linalg.cholesky
+
+        def counting_cholesky(h):
+            factored.append(np.array_equal(h, r_total))
+            return real_cholesky(h)
+
+        monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+        result = ev.run_sinr_vs_doppler(cfg, scene.TargetSpec(), spec)
+        assert len(result.curves["optimal"]) == 5
+        assert sum(factored) == 5
+
 
 SMALL_PD_SPEC = ExperimentSpec(
     kind="pd-vs-snr", algorithms=("optimal", "smi"), snr_grid_db=tuple(np.arange(-10.0, 21.0, 2.0)),

@@ -1,0 +1,130 @@
+"""Check that two stapbench source trees write the same bytes.
+
+    python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts. The
+script runs `python -m stapbench.cli` from each on the same studies: the four
+benchmark workloads at full size and seed 13 (config text from
+bench/workloads.py, read only) and `--experiment KIND --runs 2 --seed 7` for
+every experiment kind, each at OPENBLAS_NUM_THREADS=1 and =2, each in its own
+temporary directory. It compares every output file, stdout, stderr and the
+exit status byte for byte, prints each moved CSV field as config, threads,
+algorithm, x, column, old -> new, and exits 1 if anything differs.
+
+Standard library only. It writes nothing into either tree or into this
+checkout: outputs go to a temporary directory and bytecode is not written.
+"""
+
+import csv
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
+BENCH_SEED = 13
+KINDS = ("sinr-vs-snapshots", "sinr-vs-doppler", "pd-vs-snr", "complexity")
+THREADS = ("1", "2")
+
+
+def studies():
+    """(name, config text or None, CLI arguments) of every study compared."""
+    for name, workload in workloads.WORKLOADS.items():
+        yield name, workload.study(small=False).config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
+    for kind in KINDS:
+        yield f"{kind} --runs 2 --seed 7", None, ["--experiment", kind, "--runs", "2", "--seed", "7", "--out", "out"]
+
+
+def run(src: Path, config: str | None, args: list, threads: str, workdir: Path):
+    """Run the CLI from ``src`` in ``workdir``; returns (status, stdout, stderr, {file: bytes})."""
+    workdir.mkdir()
+    if config is not None:
+        (workdir / "study.cfg").write_text(config)
+    env = {key: value for key, value in os.environ.items() if key != "STAP_BENCH_SEED"}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "stapbench.cli", *args], cwd=workdir, env=env,
+                          capture_output=True)
+    out = workdir / "out"
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    # a traceback names the tree it came from; the trees differ by path alone
+    stderr = proc.stderr.replace(str(src).encode(), b"<src>")
+    return proc.returncode, proc.stdout, stderr, files
+
+
+def csv_moves(label: str, old: bytes, new: bytes) -> list:
+    """One line per CSV field that differs, keyed by (algorithm, x)."""
+    old_rows, new_rows = ([*csv.reader(io.StringIO(data.decode()))] for data in (old, new))
+    header = old_rows[0]
+    old_by_key = {tuple(row[:2]): row for row in old_rows[1:]}
+    new_by_key = {tuple(row[:2]): row for row in new_rows[1:]}
+    lines = [] if new_rows[0] == header else [f"{label}: header {header} -> {new_rows[0]}"]
+    for key in [*old_by_key, *(k for k in new_by_key if k not in old_by_key)]:
+        a, b = old_by_key.get(key), new_by_key.get(key)
+        if a is None or b is None:
+            lines.append(f"{label}, {key[0]}, {key[1]}: row only in the {'change' if a is None else 'parent'}")
+            continue
+        for column, x, y in zip(header[2:], a[2:], b[2:]):
+            if x != y:
+                lines.append(f"{label}, {key[0]}, {key[1]}, {column}: {x} -> {y}")
+    return lines or [f"{label}: rows reordered, no field moved"]
+
+
+def compare(label: str, old, new) -> list:
+    """Every difference between two runs' (status, stdout, stderr, files)."""
+    lines = []
+    if old[0] != new[0]:
+        lines.append(f"{label}: exit status {old[0]} -> {new[0]}")
+    for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+        if a != b:
+            diff = difflib.unified_diff(a.decode(errors="replace").splitlines(),
+                                        b.decode(errors="replace").splitlines(), "parent", "change", lineterm="")
+            lines.append(f"{label}: {stream} differs\n" + "\n".join(diff))
+    for name in sorted(old[3].keys() | new[3].keys()):
+        a, b = old[3].get(name), new[3].get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            lines.append(f"{label}: {name} only in the {'change' if a is None else 'parent'}")
+        elif name.endswith(".csv"):
+            lines += csv_moves(label, a, b)
+        else:
+            lines.append(f"{label}: {name} differs")
+    return lines
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(p).resolve() for p in argv)
+    for src in (parent, change):
+        if not (src / "stapbench" / "cli.py").is_file():
+            print(f"error: no stapbench sources under {src}", file=sys.stderr)
+            return 2
+    differences = cases = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        for index, (name, config, args) in enumerate(studies()):
+            for threads in THREADS:
+                label = f"{name}, threads={threads}"
+                old, new = (run(src, config, args, threads, Path(tmp) / f"{index}-{threads}-{side}")
+                            for side, src in (("parent", parent), ("change", change)))
+                lines = compare(label, old, new)
+                cases += 1
+                differences += bool(lines)
+                files = len(old[3].keys() | new[3].keys())
+                print(f"{label}: exit {old[0]}, {files} files, " + ("DIFFERS" if lines else "same bytes"),
+                      flush=True)
+                for line in lines:
+                    print("  " + line)
+    print(f"{cases - differences}/{cases} cases byte-identical")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
