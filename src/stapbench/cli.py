@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="configuration file (defaults apply if omitted)")
     parser.add_argument("--experiment", dest="kind", metavar="KIND", help="override the experiment kind")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
-    parser.add_argument("--runs", type=int, metavar="N", help="override the Monte-Carlo run count")
+    parser.add_argument("--runs", type=int, metavar="N", help="override the run count of the two SINR "
+                        "sweeps; pd-vs-snr reads designs and trials from the config")
     parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     return parser
 

@@ -328,9 +328,9 @@ def design_algorithm(name: str, ctx: DesignContext, r_hat: scene.CovarianceSet) 
     """Design one algorithm on a loaded sample covariance and its training block.
 
     ``r_hat`` is a scene.CovarianceSet that holds its (M, K) training block
-    (``CovarianceSet.estimate``); the runners build one per block so that
-    every design and Doppler bin shares its factorizations. Returns the
-    weight vector with the design's multiplication count.
+    (``CovarianceSet.estimate``, one per run and K in the SINR sweeps, one per
+    design block in the Pd sweep), so every design and Doppler bin on it
+    shares its factorizations. Returns the weight with its multiplication count.
     """
     design, _ = _table_entry(name)
     w, sizes = design(ctx, r_hat)
@@ -427,6 +427,28 @@ def _default_k_grid(k_max: int) -> tuple[int, ...]:
     return tuple(int(k) for k in grid if k <= k_max)
 
 
+def _sinr_sweep(ctx: DesignContext, spec, seed: int, draw: int, grid, points) -> ExperimentResult:
+    """SINR curves over ``grid``: with ``points[g] = (context, K)``, point g designs
+    every algorithm on the sample covariance of the first K of a run's ``draw``
+    snapshots and scores it on that context. ``draw`` is fixed, as a shorter
+    draw has other first columns; one estimate serves consecutive equal Ks."""
+
+    def one_run(run_idx: int):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
+        block = scene.draw_interference_block(ctx.cov, draw, rng)
+        values = np.full((len(spec.algorithms), len(points)), np.nan)
+        r_hat = None
+        for gi, (point_ctx, k) in enumerate(points):
+            if r_hat is None or r_hat.snapshots.shape[1] != k:
+                r_hat = None  # free the last estimate before building the next
+                r_hat = scene.CovarianceSet.estimate(block[:, :k], spec.loading)
+            values[:, gi] = _sinr_of_designs(point_ctx, spec.algorithms, r_hat)
+        return values
+
+    samples = [one_run(i) for i in range(spec.runs)]
+    return _aggregate(spec.kind, "sinr_db", spec.algorithms, grid, samples)
+
+
 def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
     """Output SINR (against the true covariance) as training size grows.
 
@@ -436,29 +458,8 @@ def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec
     as the "optimal" algorithm and is K-independent by construction.
     """
     ctx, seed = _start("sinr-vs-snapshots", cfg, target, spec)
-    algorithms, k_max, loading = spec.algorithms, spec.k_max, spec.loading
-    grid = tuple(sorted(set(int(k) for k in (spec.k_grid or _default_k_grid(k_max)))))
-    m = cfg.size
-
-    def one_run(run_idx: int):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
-        block = scene.draw_interference_block(ctx.cov, k_max, rng)
-        values = np.full((len(algorithms), len(grid)), np.nan)
-        gram = np.zeros((m, m), dtype=complex)
-        prev = 0
-        for gi, k in enumerate(grid):
-            chunk = block[:, prev:k]
-            gram += chunk @ chunk.conj().T
-            prev = k
-            # the set stores the exactly Hermitian (r + r^H)/2 of its matrix;
-            # it and its factorizations are freed before the next grid point
-            r_hat = scene.CovarianceSet(gram / k + loading * np.eye(m), block[:, :k], loading)
-            values[:, gi] = _sinr_of_designs(ctx, algorithms, r_hat)
-            del r_hat
-        return values
-
-    samples = [one_run(i) for i in range(spec.runs)]
-    return _aggregate(spec.kind, "sinr_db", algorithms, grid, samples)
+    grid = tuple(sorted(set(int(k) for k in (spec.k_grid or _default_k_grid(spec.k_max)))))
+    return _sinr_sweep(ctx, spec, seed, spec.k_max, grid, [(ctx, k) for k in grid])
 
 
 def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -470,25 +471,14 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
     ridge at the look angle.
     """
     ctx, seed = _start("sinr-vs-doppler", cfg, target, spec)
-    algorithms, k_train = spec.algorithms, spec.effective_k_train()
+    k_train = spec.effective_k_train()
     grid = tuple(float(f) for f in spec.doppler_grid())
     # one context per bin for the whole study, so each bin designs optimal once
     bins = [
-        replace(ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt))
+        (replace(ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)), k_train)
         for tgt in (replace(target, doppler_hz=fd) for fd in grid)
     ]
-
-    def one_run(run_idx: int):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
-        block = scene.draw_interference_block(ctx.cov, k_train, rng)
-        r_hat = scene.CovarianceSet.estimate(block, spec.loading)
-        values = np.full((len(algorithms), len(grid)), np.nan)
-        for gi, fd_ctx in enumerate(bins):
-            values[:, gi] = _sinr_of_designs(fd_ctx, algorithms, r_hat)
-        return values
-
-    samples = [one_run(i) for i in range(spec.runs)]
-    return _aggregate(spec.kind, "sinr_db", algorithms, grid, samples)
+    return _sinr_sweep(ctx, spec, seed, k_train, grid, bins)
 
 
 def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:

@@ -143,7 +143,8 @@ class RadarConfig:
         """Ridge slope beta = 2*v/(d*prf) tying clutter Doppler to angle."""
         return 2.0 * self.platform_velocity_mps / (self.spacing_m * self.prf_hz)
 
-    def spatial_frequency(self, azimuth_deg: float) -> float:
+    def spatial_frequency(self, azimuth_deg):
+        """(d/lambda)*sin(az) of an azimuth in degrees, elementwise for an array."""
         return self.spacing_m / self.wavelength_m * np.sin(np.deg2rad(azimuth_deg))
 
 
@@ -210,7 +211,7 @@ def clutter_covariance(cfg: RadarConfig) -> np.ndarray:
     if cfg.cnr_db is None:
         return np.zeros((m, m), dtype=complex)
     azimuths = _patch_azimuths_deg(cfg.clutter_patches)
-    vartheta = cfg.spacing_m / cfg.wavelength_m * np.sin(np.deg2rad(azimuths))
+    vartheta = cfg.spatial_frequency(azimuths)
     varpi = cfg.clutter_slope * vartheta
     b = np.exp(-2j * np.pi * np.arange(cfg.num_sensors)[:, None] * vartheta[None, :])
     a = np.exp(-2j * np.pi * np.arange(cfg.num_pulses)[:, None] * varpi[None, :])

@@ -1,5 +1,6 @@
 """Metric, detection and experiment-runner tests."""
 
+import contextlib
 import math
 from dataclasses import replace
 
@@ -167,6 +168,42 @@ class TestDesignTable:
             ev.design_algorithm("dft", ctx, r_hat)
 
 
+def _property_scene(seed: int):
+    """A small random scene, its loading and its training size K in [M/2, 4M]."""
+    rng = np.random.default_rng(seed)
+    n, j = (int(v) for v in rng.integers(1, 5, size=2))
+    jammers = tuple(
+        scene.JammerSpec(float(rng.uniform(-80.0, 80.0)), float(rng.uniform(0.0, 40.0)))
+        for _ in range(rng.integers(0, 3))
+    )
+    cnr = None if rng.random() < 0.2 else float(rng.uniform(0.0, 40.0))
+    cfg = scene.RadarConfig(num_sensors=n, num_pulses=j, cnr_db=cnr, jammers=jammers, clutter_patches=61)
+    tgt = scene.TargetSpec(float(rng.uniform(-30.0, 30.0)), float(rng.uniform(-150.0, 150.0)))
+    loading = float(rng.choice((0.0, 0.01, 0.1)))
+    m = n * j
+    return cfg, tgt, loading, int(rng.integers(max(1, m // 2), 4 * m + 1))
+
+
+class TestDesignProperties:
+    # Cauchy-Schwarz bounds every weight's SINR by the clairvoyant one, and
+    # every design scales its weight to w^H s = 1; a design that raises
+    # NumericalError on a scene is left out of that scene only
+    @pytest.mark.parametrize("seed", range(20))
+    def test_bounded_by_optimal_and_distortionless(self, seed):
+        cfg, tgt, loading, k = _property_scene(seed)
+        ctx = ev._make_context(cfg, tgt, ExperimentSpec(loading=loading))
+        block = scene.draw_interference_block(ctx.cov, k, np.random.default_rng(seed))
+        r_hat = scene.CovarianceSet.estimate(block, loading)
+        bound = ev.sinr(ctx.optimal_weight, ctx.cov.matrix, ctx.steering, ctx.xi_t)
+        for name in ev.ALGORITHMS:
+            try:
+                w = ev.design_algorithm(name, ctx, r_hat).w
+            except NumericalError:
+                continue
+            assert ev.sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t) <= bound + 1e-9, name
+            assert abs(w.conj() @ ctx.steering - 1.0) <= 1e-8, name
+
+
 class TestAdaptiveRank:
     def test_budget_rule(self):
         assert ev.adaptive_rank(25, 64) == 6  # floor at the small-rank default
@@ -249,6 +286,56 @@ class TestSinrVsSnapshots:
         assert [p.count for p in pd.curves["ka-mvdr"]] == [0, 0]
         assert [p.count for p in pd.curves["smi"]] == [40, 40]
 
+
+    def test_designs_on_one_estimate_per_run_and_k(self, monkeypatch):
+        # every (run, K) designs on CovarianceSet.estimate of the first K columns
+        # of the run's k_max-column draw, factored and decomposed once; the grid
+        # stops below k_max, so a draw sized to the grid would move every value
+        cfg = scene.RadarConfig(
+            num_sensors=4, num_pulses=4, cnr_db=30.0,
+            jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
+        )
+        tgt = scene.TargetSpec()
+        spec = ExperimentSpec(algorithms=ev.ALGORITHMS, k_max=40, k_grid=(8, 16, 24), runs=2, seed=6)
+        r_hats, factored, decomposed = [], [], []
+        real_design, real_cholesky, real_evd = ev.design_algorithm, linalg.cholesky, linalg.eigh_descending
+
+        def recording_design(name, ctx, r_hat):
+            if not any(r_hat is seen for seen in r_hats):
+                r_hats.append(r_hat)
+            return real_design(name, ctx, r_hat)
+
+        def counting_cholesky(h):
+            factored.append(h)
+            return real_cholesky(h)
+
+        def counting_evd(h):
+            decomposed.append(h)
+            return real_evd(h)
+
+        monkeypatch.setattr(ev, "design_algorithm", recording_design)
+        monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(linalg, "eigh_descending", counting_evd)
+        result = ev.run_sinr_vs_snapshots(cfg, tgt, spec)
+        monkeypatch.undo()
+        assert len(r_hats) == 6
+        for r_hat in r_hats:
+            assert sum(h is r_hat.matrix for h in factored) == 1
+            assert sum(h is r_hat.matrix for h in decomposed) == 1
+
+        ctx = ev._make_context(cfg, tgt, spec)
+        samples = np.full((2, len(ev.ALGORITHMS), 3), np.nan)
+        for run in range(2):
+            rng = np.random.default_rng(np.random.SeedSequence((6, run)))
+            block = scene.draw_interference_block(ctx.cov, 40, rng)
+            for gi, k in enumerate(spec.k_grid):
+                fresh = scene.CovarianceSet.estimate(block[:, :k], spec.loading)
+                for ai, name in enumerate(ev.ALGORITHMS):
+                    with contextlib.suppress(NumericalError):
+                        w = ev.design_algorithm(name, ctx, fresh).w
+                        samples[run, ai, gi] = ev.sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t)
+        reference = ev._aggregate(spec.kind, "sinr_db", ev.ALGORITHMS, spec.k_grid, samples)
+        assert list(result.rows()) == list(reference.rows())
 
 class TestSmiLossLaw:
     def test_mean_db_loss_matches_rmb_law(self):
