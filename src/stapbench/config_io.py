@@ -93,7 +93,7 @@ class ExperimentSpec(AlgorithmParams):
         ka_modes = ("fixed_alpha", "fixed_eta", "optimal_eta")
         if self.ka_mode not in ka_modes:
             raise ConfigError(f"ka_mode must be one of {ka_modes}, got {self.ka_mode!r}")
-        if self.sa_penalty is not None and self.sa_penalty < 0.0:
+        if self.sa_penalty < 0.0:
             raise ConfigError(f"sa_penalty must be >= 0, got {self.sa_penalty}")
         if self.sa_epsilon <= 0.0:
             raise ConfigError(f"sa_epsilon must be > 0, got {self.sa_epsilon}")

@@ -130,7 +130,7 @@ class AlgorithmParams:
     evd_selection: str = "csm"
     evd_rank: int | None = None
     krylov_rank: int | None = None
-    sa_penalty: float | None = None
+    sa_penalty: float = 1.0  # in units of the scene's noise power
     sa_epsilon: float = 0.1
     ka_mode: str = "optimal_eta"
     ka_alpha: float = 0.5
@@ -174,30 +174,6 @@ class Design:
 
     w: np.ndarray
     multiplication_count: int
-
-
-_SA_PENALTY_GRID = (0.01, 0.1, 1.0, 10.0)
-
-
-def _select_sa_penalty(ctx: DesignContext, r_hat: scene.CovarianceSet) -> float:
-    """Split-sample penalty choice: fit on the first half of the training
-    snapshots, score output power on the second half (lower is better at the
-    fixed unit steering response). The two halves' covariances, and the fit's
-    Cholesky factor, are built once per ``r_hat`` and shared by every trial."""
-    if r_hat.snapshots.shape[1] < 4:
-        return 0.0
-    fit, score_cov = r_hat.halves()
-    sigma, p = ctx.cfg.noise_power, ctx.params
-    best_penalty, best_score = 0.0, np.inf
-    for lam in _SA_PENALTY_GRID:
-        try:
-            trial = bf.sa_mvdr_weights(fit, ctx.steering, lam * sigma, p.sa_epsilon, p.iterations)
-        except NumericalError:
-            continue
-        score = float((trial.conj() @ score_cov.matrix @ trial).real)
-        if score < best_score:
-            best_penalty, best_score = lam * sigma, score
-    return best_penalty
 
 
 # Each design maps (context, estimated covariance) to the weight vector and the
@@ -244,7 +220,7 @@ def _design_lr_jidf(ctx: DesignContext, r_hat):
 
 def _design_sa_mvdr(ctx: DesignContext, r_hat):
     p = ctx.params
-    penalty = p.sa_penalty if p.sa_penalty is not None else _select_sa_penalty(ctx, r_hat)
+    penalty = p.sa_penalty * ctx.cfg.noise_power
     w = bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon, p.iterations)
     return w, {"iterations": p.iterations}
 
@@ -304,8 +280,6 @@ def multiplication_count(
 
     * ``lr-jio``: the M x M ridge solve (R + delta*I)^-1 s that every
       iteration of :func:`beamformers.jio_design` makes;
-    * ``sa-mvdr``: the split-sample penalty search, two more sample
-      covariances and up to 4 x (``iterations`` + 1) solves;
     * ``smi``/``optimal``: they are charged K*M^2 for the covariance estimate,
       which the runners form once per grid point and share across designs;
     * ``lr-jio``: it counts a batch alternation on the covariance, not the
@@ -422,9 +396,14 @@ def _sinr_of_designs(ctx: DesignContext, algorithms, r_hat) -> np.ndarray:
     return values
 
 
+def _ascending(values, kind) -> tuple:
+    """The one rule for every grid: ``values`` as ``kind``, sorted, each once."""
+    return tuple(sorted({kind(v) for v in values}))
+
+
 def _default_k_grid(k_max: int) -> tuple[int, ...]:
-    grid = np.unique(np.geomspace(max(8, min(10, k_max)), k_max, 10).round().astype(int))
-    return tuple(int(k) for k in grid if k <= k_max)
+    grid = np.geomspace(max(8, min(10, k_max)), k_max, 10).round().astype(int)
+    return tuple(int(k) for k in grid if k <= k_max)  # _ascending sorts and dedups
 
 
 def _sinr_sweep(ctx: DesignContext, spec, seed: int, draw: int, grid, points) -> ExperimentResult:
@@ -458,7 +437,7 @@ def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec
     as the "optimal" algorithm and is K-independent by construction.
     """
     ctx, seed = _start("sinr-vs-snapshots", cfg, target, spec)
-    grid = tuple(sorted(set(int(k) for k in (spec.k_grid or _default_k_grid(spec.k_max)))))
+    grid = _ascending(spec.k_grid or _default_k_grid(spec.k_max), int)
     return _sinr_sweep(ctx, spec, seed, spec.k_max, grid, [(ctx, k) for k in grid])
 
 
@@ -493,7 +472,7 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
     """
     ctx, seed = _start("pd-vs-snr", cfg, target, spec)
     algorithms, k_train, designs = spec.algorithms, spec.effective_k_train(), spec.designs
-    grid = tuple(float(v) for v in spec.snr_grid_db)
+    grid = _ascending(spec.snr_grid_db, float)
     m = cfg.size
     s = ctx.steering
     r_total = ctx.cov.matrix
@@ -545,10 +524,9 @@ def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec)
     """
     _require_kind(spec, "complexity")
     sizes = dict(d=spec.rank, b=spec.branches, i_len=spec.interp_len, iterations=spec.iterations)
+    grid = _ascending(spec.m_grid, int)
     curves = {
-        name: [
-            CurvePoint(m, multiplication_count(name, m, **sizes), 0.0, 1) for m in sorted(spec.m_grid)
-        ]
+        name: [CurvePoint(m, multiplication_count(name, m, **sizes), 0.0, 1) for m in grid]
         for name in spec.algorithms
         if name != "optimal"
     }

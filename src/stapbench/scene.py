@@ -249,9 +249,9 @@ class CovarianceSet:
     ``loading`` it was estimated with. ``matrix`` is checked once, on
     construction (``linalg.require_hermitian``), and stored exactly
     Hermitian, so nothing that reads it checks it again. The sampling factor,
-    the Cholesky factor, the eigendecomposition and the split-sample halves
-    are each computed on first use and kept for the life of the object:
-    every design and Doppler bin that reads one covariance shares them.
+    the Cholesky factor and the eigendecomposition are each computed on
+    first use and kept for the life of the object: every design and Doppler
+    bin that reads one covariance shares them.
     """
 
     matrix: np.ndarray
@@ -260,7 +260,6 @@ class CovarianceSet:
     _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _cholesky: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _evd: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _halves: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = linalg.require_hermitian(self.matrix, name="covariance")
@@ -305,17 +304,6 @@ class CovarianceSet:
         if self._evd is None:
             self._evd = linalg.eigh_descending(self.matrix)
         return self._evd
-
-    def halves(self) -> tuple["CovarianceSet", "CovarianceSet"]:
-        """Cached sample covariances of the first and the second half of the
-        training snapshots, at the same loading, for split-sample validation."""
-        if self._halves is None:
-            half = self.snapshots.shape[1] // 2
-            self._halves = (
-                CovarianceSet.estimate(self.snapshots[:, :half], self.loading),
-                CovarianceSet.estimate(self.snapshots[:, half:], self.loading),
-            )
-        return self._halves
 
 
 def total_covariance(cfg: RadarConfig) -> CovarianceSet:

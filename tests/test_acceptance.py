@@ -178,6 +178,35 @@ def test_clutter_notch(doppler_sweep):
     assert not problems, "; ".join(problems)
 
 
+def test_jidf_rank_study_at_k800():
+    # the branch scheme's reds come from its default rank D = 6, below the
+    # interference rank: with more rank it closes on the bound. Each D is one
+    # sweep on the same draws, designed through the table, which clamps the
+    # branch count to the patterns that fit
+    ranks = (6, 12, 16, 24, 32)
+    means = {name: [] for name in ("optimal", "lr-jio", "lr-jidf")}
+    for rank in ranks:
+        spec = ExperimentSpec(
+            algorithms=tuple(means), k_max=800, k_grid=(800,), runs=10, seed=SEED, loading=0.01, rank=rank
+        )
+        result = ev.run_sinr_vs_snapshots(CFG, TARGET, spec)
+        for name, values in means.items():
+            values.append(final_sinr(result, name))
+    jidf, optimal = means["lr-jidf"], means["optimal"]
+    problems = []
+    if not all(b >= a for a, b in zip(jidf, jidf[1:])):
+        problems.append("lr-jidf falls as D grows")
+    for rank, value, bound in zip(ranks, jidf, optimal):
+        if rank >= 24 and not value >= bound - 3.0:
+            problems.append(f"lr-jidf at D={rank} is {bound - value:.2f} dB below optimal (> 3)")
+    detail = "; ".join(
+        f"{name} " + "/".join(f"{v:.2f}" for v in values) for name, values in means.items()
+    ) + f" dB at D = {'/'.join(map(str, ranks))}"
+    announce("lr-jidf rank study at K=800 (rises with D, within 3 dB of optimal at D >= 24)",
+             not problems, detail)
+    assert not problems, "; ".join(problems)
+
+
 def test_complexity_ordering():
     start = time.monotonic()
     spec = ExperimentSpec(

@@ -198,6 +198,7 @@ class TestExperimentSpec:
             ("evd_selection", "[experiment]\nevd_selection = bogus\n"),
             ("ka_mode", "[experiment]\nka_mode = bogus\n"),
             ("sa_penalty", "[experiment]\nsa_penalty = -1\n"),
+            ("sa_penalty", "[experiment]\nsa_penalty = none\n"),
             ("sa_epsilon", "[experiment]\nsa_epsilon = 0\n"),
             ("ka_alpha", "[experiment]\nka_alpha = -0.5\n"),
             ("ka_eta", "[experiment]\nka_eta = 5\n"),
