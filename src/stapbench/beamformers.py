@@ -9,9 +9,10 @@ eigendecomposition are then shared by every design that reads it. Matrices a
 design forms itself are Hermitian by construction and go to the unchecked
 kernels ``linalg.cholesky``/``linalg.cholesky_solve``.
 
-Every design but JIDF ends in one scaling step (``_distortionless``): a
-direction x becomes x / (s^H x), and the design raises ``NumericalError``
-when Re(s^H x) <= 0, since then x has no usable response to s.
+Every design ends in one scaling step (``_distortionless``): a direction x
+becomes x / (s^H x), and the design raises ``NumericalError`` when
+Re(s^H x) <= 0, since then x has no usable response to s. JIDF applies it
+to all its branches at once.
 
 Families implemented:
 
@@ -21,8 +22,7 @@ Families implemented:
   metric-selected eigenvectors (``evd_basis``), the Krylov chain of the
   covariance on the steering vector (``krylov_basis``), an alternating
   joint basis/weight optimization (``jio_design``), and the
-  interpolation/decimation branch scheme (``jidf_design``), which reads the
-  covariance with its diagonal loading taken off;
+  interpolation/decimation branch scheme (``jidf_design``);
 * sparsity-aware reweighted design (``sa_mvdr_weights``);
 * knowledge-aided covariance blending (``ka_prior``/``ka_mvdr_weights``).
 """
@@ -50,10 +50,11 @@ __all__ = [
 
 
 def _distortionless(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x`` scaled to s^H x = 1; raises NumericalError unless Re(s^H x) > 0."""
-    denom = s.conj() @ x
-    if not denom.real > 0:
-        raise NumericalError(f"steering response is not positive: {denom:.3e}")
+    """``x`` scaled to s^H x = 1 along its last axis, for one vector or a
+    stack; raises NumericalError unless every Re(s^H x) > 0."""
+    denom = (s.conj()[..., None, :] @ x[..., None])[..., 0]
+    if not np.min(denom.real) > 0:  # NaN fails too
+        raise NumericalError(f"steering response is not positive: {denom.flat[np.argmin(denom.real)]:.3e}")
     return x / denom
 
 
@@ -268,25 +269,17 @@ def valid_branch_count(m: int, rank: int, requested: int) -> int:
     return count
 
 
-def _loaded_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """HPD solve of an exactly Hermitian ``mat``; on singularity retry once
-    with 1e-6*trace/dim loading."""
-    try:
-        return linalg.cholesky_solve(linalg.cholesky(mat), rhs)
-    except NumericalError:
-        ridge = 1e-6 * float(np.trace(mat).real) / mat.shape[0]
-        if ridge <= 0.0:
-            ridge = 1e-12
-        return linalg.cholesky_solve(linalg.cholesky(_plus_diagonal(mat, ridge)), rhs)
-
-
 def _branch_mvdr(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Per branch, the minimum-variance solution x / (rhs^H x), x = mat^-1 rhs,
     of a (B, n, n) stack of matrices (symmetrized first) and a (B, n) stack
-    of constraints."""
+    of constraints, solved in one call. Raises NumericalError if a matrix is
+    singular or by the rule of :func:`_distortionless`."""
     mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    x = np.stack([_loaded_solve(mat, b) for mat, b in zip(mats, rhs)])
-    return x / np.sum(rhs.conj() * x, axis=1, keepdims=True)
+    try:
+        x = np.linalg.solve(mats, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"branch matrix is singular: {exc}") from exc
+    return _distortionless(rhs, x)
 
 
 def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int) -> np.ndarray:
@@ -297,15 +290,16 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
     specific offsets of one shared pattern), and applies a reduced
     minimum-variance weight w; its full-length weight carries w_d * conj(v_i)
     at index z_d + i. Interpolator and weight are refined alternately; the
-    branch with the smallest output power wins. The returned weight meets
-    w^H s = 1 exactly by the final normalization of the alternation.
+    branch with the smallest output power wins. Each half-step ends in the
+    scaling rule of every design, so the returned weight meets w^H s = 1.
 
-    The statistics come from the covariance without its diagonal loading
-    (``CovarianceSet.loading``), so a sample covariance gives the
-    time-averaged statistics of its training snapshots. That matrix,
-    zero-padded past index M-1, is gathered once at every branch's indices
-    z_d + i into a (B, D*I, D*I) tensor, and all branches alternate on it
-    in lockstep.
+    Like every design, it reads the covariance as given (a sample covariance
+    with its loading). That matrix, zero-padded past index M-1, is gathered
+    once at every branch's indices z_d + i into a (B, D*I, D*I) tensor, and
+    all branches alternate on it in lockstep, one batched solve per
+    half-step. Interpolator taps with no in-array sample (i >= M - b for
+    branch b) have zero rows, columns and constraints: a unit diagonal
+    solves them to 0, and they fall outside the returned weight anyway.
     """
     cov = scene.CovarianceSet.of(r)
     s = np.asarray(s, dtype=complex)
@@ -319,12 +313,13 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
     z = np.stack([decimation_indices(m, rank, b) for b in range(branches)])  # (B, D)
     rows = (z[:, :, None] + np.arange(interp_len)).reshape(branches, rank * interp_len)
     padded = np.zeros((m + interp_len - 1,) * 2, dtype=complex)
-    padded[:m, :m] = _plus_diagonal(cov.matrix, -cov.loading)
+    padded[:m, :m] = cov.matrix
     stats = padded[rows[:, :, None], rows[:, None, :]]  # (B, D*I, D*I)
     by_window = stats.reshape(branches, rank, interp_len, rank * interp_len)
     by_rank = stats.reshape(branches, rank, interp_len * rank * interp_len)
     steer = np.concatenate([s, np.zeros(interp_len - 1, dtype=complex)])[rows]
     steer = steer.reshape(branches, rank, interp_len)
+    pad_b, pad_i = np.nonzero(z[:, :1] + np.arange(interp_len) >= m)
 
     v = np.zeros((branches, interp_len), dtype=complex)
     v[:, 0] = 1.0
@@ -337,11 +332,9 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
         # interpolator update: r_v[i, j] = conj(sum_de conj(w_d) stats[(d, i), (e, j)] w_e)
         r_v = (w.conj()[:, None, :] @ by_rank).reshape(branches, interp_len, rank, interp_len)
         r_v = (w[:, None, None, :] @ r_v)[:, :, 0, :].conj()
+        r_v[pad_b, pad_i, pad_i] = 1.0
         s_v = (steer.conj().transpose(0, 2, 1) @ w[:, :, None])[..., 0]
         v = _branch_mvdr(r_v, s_v)
-    bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(w).all(axis=1))
-    if bad.any():
-        raise NumericalError(f"non-finite branch state (branch {int(np.argmax(bad)) + 1})")
     # cascade[b, (d, i)] = conj(w_d) v_i is the conjugate of branch b's full-length
     # weight at z_d + i, so the quadratic form is that weight's output power
     cascade = (w.conj()[:, :, None] * v[:, None, :]).reshape(branches, rank * interp_len)

@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--experiment", dest="kind", metavar="KIND", help="override the experiment kind")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     parser.add_argument("--runs", type=int, metavar="N", help="override the run count of the two SINR "
-                        "sweeps; pd-vs-snr reads designs and trials from the config")
+                        "sweeps; with any other kind it exits 2")
     parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     return parser
 
@@ -80,6 +80,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"STAP_BENCH_SEED must be an integer, got {env_seed!r}") from None
         if overrides:
             spec = replace(spec, **overrides)
+        if args.runs is not None and spec.kind not in ("sinr-vs-snapshots", "sinr-vs-doppler"):
+            raise ValueError(f"--runs applies to the two SINR sweeps only, not to {spec.kind}")
         result = run_experiment(cfg, target, spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

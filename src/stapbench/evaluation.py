@@ -286,7 +286,7 @@ def multiplication_count(
       per-snapshot recursion of Fa, de Lamare & Wang (2011);
     * ``lr-jidf``: it counts the per-iteration model of de Lamare &
       Sampaio-Neto (2009), while :func:`beamformers.jidf_design` gathers the
-      unloaded covariance once into a (B, D*I, D*I) tensor and alternates on
+      loaded covariance once into a (B, D*I, D*I) tensor and alternates on
       it.
     """
     if m < 1:

@@ -245,18 +245,17 @@ class CovarianceSet:
 
     It holds either the scene's interference-plus-noise covariance, which
     snapshot draws and scoring read, or a loaded sample covariance, which the
-    designs read; a sample covariance keeps the training ``snapshots`` and the
-    ``loading`` it was estimated with. ``matrix`` is checked once, on
-    construction (``linalg.require_hermitian``), and stored exactly
-    Hermitian, so nothing that reads it checks it again. The sampling factor,
-    the Cholesky factor and the eigendecomposition are each computed on
-    first use and kept for the life of the object: every design and Doppler
-    bin that reads one covariance shares them.
+    designs read; a sample covariance keeps its training ``snapshots``.
+    ``matrix`` is checked once, on construction
+    (``linalg.require_hermitian``), and stored exactly Hermitian, so nothing
+    that reads it checks it again. The sampling factor, the Cholesky factor
+    and the eigendecomposition are each computed on first use and kept for
+    the life of the object: every design and Doppler bin that reads one
+    covariance shares them.
     """
 
     matrix: np.ndarray
     snapshots: np.ndarray | None = field(default=None, repr=False, compare=False)
-    loading: float = 0.0
     _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _cholesky: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _evd: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -272,7 +271,7 @@ class CovarianceSet:
     @classmethod
     def estimate(cls, snapshots, loading: float = 0.0) -> "CovarianceSet":
         """The loaded sample covariance of an (M, K) block (see :func:`sample_covariance`)."""
-        return cls(sample_covariance(snapshots, loading), snapshots, loading)
+        return cls(sample_covariance(snapshots, loading), snapshots)
 
     @property
     def size(self) -> int:

@@ -304,14 +304,14 @@ class TestJio:
         assert peak <= 4 * 2**20
 
 
-def _loaded_solve_reference(mat, rhs):
-    try:
-        return linalg.cholesky_solve(linalg.cholesky(mat), rhs)
-    except NumericalError:
-        ridge = 1e-6 * float(np.trace(mat).real) / mat.shape[0]
-        if ridge <= 0.0:
-            ridge = 1e-12
-        return linalg.cholesky_solve(linalg.cholesky(mat + ridge * np.eye(mat.shape[0])), rhs)
+def _hpd_solve_reference(mat, rhs):
+    """HPD solve of ``mat`` x = ``rhs`` by Cholesky; an all-zero row, which
+    must come with a zero right-hand side, solves to 0."""
+    live = mat.any(axis=1)
+    assert not rhs[~live].any()
+    x = np.zeros_like(rhs)
+    x[live] = linalg.cholesky_solve(linalg.cholesky(mat[np.ix_(live, live)]), rhs[live])
+    return x
 
 
 def _jidf_block_reference(block, s, branches, interp_len, rank, iterations):
@@ -335,13 +335,13 @@ def _jidf_block_reference(block, s, branches, interp_len, rank, iterations):
             r_w = interpolated @ interpolated.conj().T / k
             r_w = 0.5 * (r_w + r_w.conj().T)
             s_w = steer_windows @ v
-            x = _loaded_solve_reference(r_w, s_w)
+            x = _hpd_solve_reference(r_w, s_w)
             w = x / (s_w.conj() @ x)
             combined = (w @ windows_h).reshape(interp_len, k)  # (I, K)
             r_v = combined @ combined.conj().T / k
             r_v = 0.5 * (r_v + r_v.conj().T)
             s_v = steer_windows.conj().T @ w
-            x = _loaded_solve_reference(r_v, s_v)
+            x = _hpd_solve_reference(r_v, s_v)
             v = x / (s_v.conj() @ x)
         power = float(np.mean(np.abs(w.conj() @ (v @ windows)) ** 2))
         if best is None or power < best[0]:
@@ -381,19 +381,55 @@ class TestJidf:
     @pytest.mark.parametrize("loading", (0.0, 0.01))
     @pytest.mark.parametrize("branches,interp_len", ((1, 1), (3, 4), (8, 8)))
     def test_matches_block_reference(self, sensors, k_ratio, loading, branches, interp_len):
-        # the design reads the covariance with its loading taken off, which
-        # holds the same statistics as the raw training block
+        # rank 2 at M = 16 and 6 at M = 64 leave all 8 branch patterns duplicate-free
+        rank = {4: 2, 8: 6}[sensors]
+        self._assert_matches_block_reference(sensors, k_ratio, loading, branches, interp_len, rank)
+
+    @pytest.mark.parametrize("loading", (0.0, 0.01))
+    def test_matches_block_reference_with_taps_past_the_array(self, loading):
+        # on M = 9 with rank 3, branch 3's last interpolator tap (z_0 + 7 = 9)
+        # has no in-array sample: its row, column and constraint entry are zero.
+        # K = 2M: below M the 8 x 8 interpolator systems are singular or nearly so
+        self._assert_matches_block_reference(3, 2.0, loading, 3, 8, 3)
+
+    @staticmethod
+    def _assert_matches_block_reference(sensors, k_ratio, loading, branches, interp_len, rank):
+        # the design reads the loaded covariance of the (M, K) block X, which is
+        # the plain sample covariance of sqrt((K+M)/K) [X, sqrt(K*loading) I]
         cfg = scene.RadarConfig(num_sensors=sensors, num_pulses=sensors)
         m = cfg.size
-        rank = {16: 2, 64: 6}[m]  # both leave all 8 branch patterns duplicate-free
         cov = scene.total_covariance(cfg)
         s = scene.target_steering(cfg, TABLE_TGT)
-        block = scene.draw_interference_block(cov, int(k_ratio * m), np.random.default_rng(m))
+        k = int(k_ratio * m)
+        block = scene.draw_interference_block(cov, k, np.random.default_rng(m))
         w = bf.jidf_design(
             scene.CovarianceSet.estimate(block, loading), s, branches, interp_len, rank, 5
         )
-        ref = _jidf_block_reference(block, s, branches, interp_len, rank, 5)
+        augmented = np.sqrt((k + m) / k) * np.hstack([block, np.sqrt(k * loading) * np.eye(m)])
+        ref = _jidf_block_reference(augmented, s, branches, interp_len, rank, 5)
         assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_one_batched_solve_per_half_step(self, table_scene, monkeypatch):
+        # all branches are solved in one call per half-step, and no Cholesky
+        # factor is made
+        cov, s = table_scene
+        r_hat = scene.CovarianceSet.estimate(
+            scene.draw_interference_block(cov, 100, np.random.default_rng(6)), 0.01
+        )
+        stacks = []
+        real_solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            stacks.append(a.shape)
+            return real_solve(a, b)
+
+        def no_cholesky(h):
+            raise AssertionError("jidf_design factored a matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(linalg, "cholesky", no_cholesky)
+        bf.jidf_design(r_hat, s, 8, 8, 6, 5)
+        assert stacks == [(8, 6, 6), (8, 8, 8)] * 5
 
     def test_degenerate_configuration_reduces_to_smi(self):
         cfg = scene.RadarConfig(

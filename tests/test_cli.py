@@ -197,6 +197,14 @@ class TestExitCodes:
         assert cli.main(["--config", str(cfg_path)]) == 2
         assert "master_seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ("pd-vs-snr", "complexity"))
+    def test_runs_with_a_kind_that_has_none_is_two(self, tmp_path, capsys, monkeypatch, kind):
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("an experiment started"))
+        assert cli.main(["--experiment", kind, "--runs", "5", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "--runs" in err and kind in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_is_two(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 2
 
