@@ -1,14 +1,23 @@
 """Dense complex linear-algebra kernels shared across the package.
 
 Everything operates on double-precision complex numpy arrays. Storage is
-dense row-major throughout: the dimensions of interest (a few hundred at
-most) never justify sparse formats.
+dense throughout: the dimensions of interest (a few hundred at most) never
+justify sparse formats.
+
+The Cholesky factor and solve call LAPACK's ``zpotrf`` and ``zpotrs``
+through ``ctypes``, in the OpenBLAS that numpy's own linear-algebra
+extension links, so the package loads no second LAPACK. The numpy wheels
+bundle that OpenBLAS as a 64-bit-integer (ILP64) build whose symbols carry
+a ``scipy_`` prefix and a ``64_`` suffix. The factor is kept column-major,
+as LAPACK stores it, so that a solve copies only its right-hand side.
 """
 
+import ctypes
 import math
+import threading
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf, zpotrs
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "NumericalError",
@@ -27,6 +36,33 @@ _ABS_FLOOR = 1e-12
 
 class NumericalError(RuntimeError):
     """A numerically well-posed routine failed on the data it was given."""
+
+
+# Symbol lookup through this handle also searches the libraries the extension
+# links, numpy's bundled OpenBLAS among them.
+_NUMPY_LINALG = ctypes.CDLL(_umath_linalg.__file__)
+
+
+def _lapack(name: str, pointers: int):
+    """The Fortran routine ``name`` of numpy's OpenBLAS, taking a one-character
+    option, ``pointers`` addresses (every integer is a 64-bit int passed by
+    address) and the option's hidden ``size_t`` length."""
+    try:
+        routine = getattr(_NUMPY_LINALG, name)
+    except AttributeError:
+        raise ImportError(f"numpy's OpenBLAS does not export {name}") from None
+    routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * pointers + [ctypes.c_size_t]
+    routine.restype = None
+    return routine
+
+
+_zpotrf = _lapack("scipy_zpotrf_64_", 4)
+_zpotrs = _lapack("scipy_zpotrs_64_", 7)
+# The integer arguments, allocated once and passed by address. A LAPACK call
+# releases the interpreter lock, so the lock keeps two threads from sharing them.
+_N, _NRHS, _LD, _INFO = (ctypes.c_int64() for _ in range(4))
+_N_P, _NRHS_P, _LD_P, _INFO_P = (ctypes.addressof(v) for v in (_N, _NRHS, _LD, _INFO))
+_ARGS_LOCK = threading.Lock()
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -84,13 +120,21 @@ def cholesky(h) -> np.ndarray:
     Unchecked: ``h`` must already be exactly Hermitian and finite (the output
     of :func:`require_hermitian`, or Hermitian by construction); only its
     upper triangle is read, and the strict lower triangle of the result is
-    left as ``h`` had it. Pass the result to :func:`cholesky_solve`.
+    left as ``h`` had it. The result is a new column-major array; ``h`` is
+    not written to. Pass the result to :func:`cholesky_solve`.
 
     Raises:
         NumericalError: if ``h`` is not positive definite, naming the failing
             pivot (1-based).
     """
-    factor, info = zpotrf(h, lower=0, clean=0, overwrite_a=0)
+    factor = np.array(h, dtype=complex, order="F")
+    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+        raise ValueError(f"Cholesky needs a square matrix, got shape {factor.shape}")
+    n = factor.shape[0]
+    with _ARGS_LOCK:
+        _N.value, _LD.value = n, max(n, 1)
+        _zpotrf(b"U", _N_P, factor.ctypes.data, _LD_P, _INFO_P, 1)
+        info = _INFO.value
     if info > 0:
         raise NumericalError(f"matrix is not positive definite: Cholesky pivot {info} failed")
     if info < 0:
@@ -100,8 +144,20 @@ def cholesky(h) -> np.ndarray:
 
 def cholesky_solve(factor: np.ndarray, b) -> np.ndarray:
     """Solve U^H U x = b with the upper factor U from :func:`cholesky`;
-    ``b`` may be a vector or a matrix of stacked right-hand sides."""
-    x, info = zpotrs(factor, b, lower=0)
+    ``b`` may be a vector or a matrix of stacked right-hand sides.
+
+    Neither argument is written to; ``x`` is a new array of ``b``'s shape.
+    """
+    factor = np.asarray(factor, dtype=complex, order="F")
+    x = np.array(b, dtype=complex, order="F")
+    if factor.ndim != 2 or x.ndim not in (1, 2) or not factor.shape[0] == factor.shape[1] == x.shape[0]:
+        raise ValueError(f"cannot solve with a {factor.shape} factor for right-hand side {x.shape}")
+    n = factor.shape[0]
+    with _ARGS_LOCK:
+        _N.value, _LD.value = n, max(n, 1)
+        _NRHS.value = 1 if x.ndim == 1 else x.shape[1]
+        _zpotrs(b"U", _N_P, _NRHS_P, factor.ctypes.data, _LD_P, x.ctypes.data, _LD_P, _INFO_P, 1)
+        info = _INFO.value
     if info < 0:
         raise NumericalError(f"triangular solve rejected argument {-info}")
     return x

@@ -137,6 +137,32 @@ class TestBlasThreads:
         assert set(chosen.values()) == {min(2, len(os.sched_getaffinity(0)))}, chosen
 
 
+# What importing the CLI loads: scipy modules, and the OpenBLAS shared objects
+# mapped into the process (None where /proc/self/maps does not exist).
+IMPORT_PROBE = """
+import json, os, sys
+import stapbench.cli
+maps = open("/proc/self/maps").read().splitlines() if os.path.exists("/proc/self/maps") else None
+print(json.dumps({
+    "scipy": sorted(name for name in sys.modules if name.startswith("scipy")),
+    "openblas": None if maps is None else sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}),
+}))
+"""
+
+
+class TestImportCost:
+    def test_cli_loads_no_scipy_and_one_openblas(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True, capture_output=True,
+                             text=True)
+        loaded = json.loads(run.stdout)
+        assert loaded["scipy"] == []
+        if loaded["openblas"] is None:
+            pytest.skip("no /proc/self/maps to list the mapped OpenBLAS copies")
+        assert len(loaded["openblas"]) == 1, loaded["openblas"]
+
+
 class TestSmokeRuntime:
     def test_toy_snapshot_sweep_is_fast(self, tmp_path):
         cfg_path = tmp_path / "s.cfg"

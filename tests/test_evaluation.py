@@ -212,8 +212,9 @@ def _property_scene(seed: int):
 
 class TestDesignProperties:
     # Cauchy-Schwarz bounds every weight's SINR by the clairvoyant one, and
-    # every design scales its weight to w^H s = 1; a design that raises
-    # NumericalError on a scene is left out of that scene only
+    # every design scales its weight to w^H s = 1. Every design designs on
+    # every property scene: a NumericalError fails the test, so a kernel
+    # that wrongly reports a failed factor cannot hide here
     @pytest.mark.parametrize("seed", range(20))
     def test_bounded_by_optimal_and_distortionless(self, seed):
         cfg, tgt, loading, k = _property_scene(seed)
@@ -222,16 +223,13 @@ class TestDesignProperties:
         r_hat = scene.CovarianceSet.estimate(block, loading)
         bound = ev.sinr(ctx.optimal_weight, ctx.cov.matrix, ctx.steering, ctx.xi_t)
         for name in ev.ALGORITHMS:
-            try:
-                w = ev.design_algorithm(name, ctx, r_hat).w
-            except NumericalError:
-                continue
+            w = ev.design_algorithm(name, ctx, r_hat).w
             assert ev.sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t) <= bound + 1e-9, name
             assert abs(w.conj() @ ctx.steering - 1.0) <= 1e-8, name
 
     # Equivariances: how each design's weight must follow a transformed
-    # input, to ||w' - f(w)|| <= 1e-9 ||w||; a design that raises
-    # NumericalError must raise on both sides. sa-mvdr, lr-jio and lr-jidf
+    # input, to ||w' - f(w)|| <= 1e-9 ||w||; a NumericalError on either
+    # side fails the test. sa-mvdr, lr-jio and lr-jidf
     # read the coordinates (the l1 reweighting, the identity columns of the
     # start basis, the decimation indices), so they are not
     # unitary-equivariant. lr-jidf is left out of the scale and phase
@@ -253,12 +251,7 @@ class TestDesignProperties:
     @staticmethod
     def _assert_follows(names, ctx, r_hat, moved_ctx, moved_r_hat, f):
         for name in names:
-            try:
-                w = ev.design_algorithm(name, ctx, r_hat).w
-            except NumericalError:
-                with pytest.raises(NumericalError):
-                    ev.design_algorithm(name, moved_ctx, moved_r_hat)
-                continue
+            w = ev.design_algorithm(name, ctx, r_hat).w
             moved = ev.design_algorithm(name, moved_ctx, moved_r_hat).w
             assert np.linalg.norm(moved - f(w)) <= 1e-9 * np.linalg.norm(w), name
 

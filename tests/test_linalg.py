@@ -112,6 +112,90 @@ class TestHpdSolve:
                 scene.CovarianceSet(bad)
 
 
+def in_layout(a, layout):
+    """The values of ``a`` (real-valued for "real") stored in the named layout."""
+    if layout == "real":
+        return np.ascontiguousarray(a.real)
+    if layout == "c-ordered":
+        return np.ascontiguousarray(a)
+    if layout == "fortran-ordered":
+        return np.asfortranarray(a)
+    every_other = (slice(None, None, 2),) * a.ndim
+    padded = np.zeros(tuple(2 * d for d in a.shape), dtype=a.dtype)
+    padded[every_other] = a
+    return padded[every_other]
+
+
+class TestLapackBinding:
+    """``cholesky`` and ``cholesky_solve`` call LAPACK on arrays of their own.
+
+    LAPACK overwrites its matrix arguments; were the caller's array passed
+    through, a solve would silently corrupt ``CovarianceSet.matrix`` or the
+    factor it caches.
+    """
+
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(31)
+        cov = scene.CovarianceSet(random_hpd(rng, 8))
+        matrix = cov.matrix.copy()
+        for b in (rng.normal(size=8) + 1j * rng.normal(size=8), rng.normal(size=(8, 3)) + 0j):
+            before = b.copy()
+            cov.solve(b)
+            factor = cov._cholesky.copy()
+            cov.solve(b)
+            np.testing.assert_array_equal(b, before)
+            np.testing.assert_array_equal(cov._cholesky, factor)
+        np.testing.assert_array_equal(cov.matrix, matrix)
+        h = np.asfortranarray(matrix)
+        linalg.cholesky(h)
+        np.testing.assert_array_equal(h, matrix)
+
+    @pytest.mark.parametrize("layout", ("real", "c-ordered", "fortran-ordered", "sliced"))
+    def test_layouts_give_the_contiguous_complex_result(self, layout):
+        rng = np.random.default_rng(32)
+        h = random_hpd(rng, 7)
+        b = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
+        if layout == "real":
+            h, b = h.real.copy(), b.real.copy()
+        factor = linalg.cholesky(np.ascontiguousarray(h, dtype=complex))
+        np.testing.assert_array_equal(linalg.cholesky(in_layout(h, layout)), factor)
+        for rhs in (b, b[:, 0]):
+            expect = linalg.cholesky_solve(factor, np.ascontiguousarray(rhs, dtype=complex))
+            got = linalg.cholesky_solve(in_layout(factor, layout), in_layout(rhs, layout))
+            np.testing.assert_array_equal(got, expect)
+
+    def test_vector_and_stacked_right_hand_sides(self):
+        rng = np.random.default_rng(33)
+        a = random_hpd(rng, 9)
+        factor = linalg.cholesky(a)
+        stacked = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+        x = linalg.cholesky_solve(factor, stacked)
+        assert x.shape == (9, 4)
+        for j in range(4):
+            column = linalg.cholesky_solve(factor, stacked[:, j])
+            assert column.shape == (9,)
+            np.testing.assert_array_equal(x[:, j], column)
+        assert np.linalg.norm(a @ x - stacked) <= 1e-10 * np.linalg.norm(stacked)
+        assert linalg.cholesky_solve(factor, stacked[:, :1]).shape == (9, 1)
+
+    @pytest.mark.parametrize("n", (1, 8, 64))
+    def test_upper_triangle_matches_numpy(self, n):
+        h = scene.CovarianceSet(random_hpd(np.random.default_rng(34), n)).matrix
+        expect = np.linalg.cholesky(h, upper=True)
+        gap = np.linalg.norm(np.triu(linalg.cholesky(h)) - expect)
+        assert gap <= 1e-12 * np.linalg.norm(expect)
+
+    def test_shape_mismatch_is_refused_before_lapack(self):
+        factor = linalg.cholesky(np.eye(3))
+        with pytest.raises(ValueError, match="square"):
+            linalg.cholesky(np.ones((2, 3)))
+        for b in (np.ones(4), np.ones((2, 1)), np.ones((3, 1, 1)), np.ones(())):
+            with pytest.raises(ValueError, match="cannot solve"):
+                linalg.cholesky_solve(factor, b)
+        with pytest.raises(ValueError, match="cannot solve"):
+            linalg.cholesky_solve(factor[:, :2], np.ones(3))
+
+
 class TestKron:
     """Sensor-major Kronecker layout of the space-time vectors and matrices."""
 
