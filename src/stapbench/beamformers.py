@@ -93,9 +93,9 @@ def _steering_aligned(values: np.ndarray, vectors: np.ndarray, s: np.ndarray) ->
     """``vectors`` with each cluster of equal eigenvalues (consecutive gaps of
     at most 1e-10 of the largest) rotated so that its first vector is s
     projected onto the cluster and the rest are orthogonal to s. LAPACK may
-    return any basis of such a cluster, and which one moves with the BLAS
-    thread count; the rotated one does not. Rotates a copy: the cached EVD
-    serves every steering vector."""
+    return any basis of such a cluster, and which one moves with the LAPACK
+    build; the rotated one does not. Rotates a copy: the cached EVD serves
+    every steering vector."""
     ends = np.flatnonzero(np.abs(np.diff(values)) > 1e-10 * np.abs(values).max()) + 1
     clusters = [(a, b) for a, b in zip(np.r_[0, ends], np.r_[ends, values.size]) if b - a > 1]
     if not clusters:
@@ -114,9 +114,9 @@ def evd_basis(r, s, rank: int, selection: str) -> np.ndarray:
     The cross-spectral metric (Goldstein & Reed, IEEE TSP 45(2), 1997) ranks
     eigenvectors by |v^H s|^2 / lambda, the per-eigenvector contribution to
     output SINR, and keeps the best ``rank``. Inside a repeated eigenvalue,
-    where LAPACK may return any basis, the eigenvectors are first aligned
-    with s (:func:`_steering_aligned`), so the weight does not depend on that
-    choice. Returns the (M, rank) basis.
+    whose basis LAPACK picks differently in each build, the eigenvectors are
+    first aligned with s (:func:`_steering_aligned`), so the weight does not
+    depend on that choice. Returns the (M, rank) basis.
     """
     s = np.asarray(s, dtype=complex)
     values, vectors = scene.CovarianceSet.of(r).evd()

@@ -14,10 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-# OpenBLAS reads this once, when numpy loads it: the next import is the first
-# to load numpy. At M <= 256 a second thread costs more than it saves.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from . import evaluation, storage
 from .config_io import parse_config, parse_config_text
 

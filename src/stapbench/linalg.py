@@ -43,14 +43,19 @@ class NumericalError(RuntimeError):
 _NUMPY_LINALG = ctypes.CDLL(_umath_linalg.__file__)
 
 
+def _openblas(name: str):
+    """The routine ``name`` of numpy's OpenBLAS."""
+    try:
+        return getattr(_NUMPY_LINALG, name)
+    except AttributeError:
+        raise ImportError(f"numpy's OpenBLAS does not export {name}") from None
+
+
 def _lapack(name: str, pointers: int):
     """The Fortran routine ``name`` of numpy's OpenBLAS, taking a one-character
     option, ``pointers`` addresses (every integer is a 64-bit int passed by
     address) and the option's hidden ``size_t`` length."""
-    try:
-        routine = getattr(_NUMPY_LINALG, name)
-    except AttributeError:
-        raise ImportError(f"numpy's OpenBLAS does not export {name}") from None
+    routine = _openblas(name)
     routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * pointers + [ctypes.c_size_t]
     routine.restype = None
     return routine
@@ -58,6 +63,9 @@ def _lapack(name: str, pointers: int):
 
 _zpotrf = _lapack("scipy_zpotrf_64_", 4)
 _zpotrs = _lapack("scipy_zpotrs_64_", 7)
+# One thread for the whole process, whatever the environment or import order:
+# threaded zgemm, zpotrf and zheevd round differently at each thread count.
+_openblas("scipy_openblas_set_num_threads64_")(1)
 # The integer arguments, allocated once and passed by address. A LAPACK call
 # releases the interpreter lock, so the lock keeps two threads from sharing them.
 _N, _NRHS, _LD, _INFO = (ctypes.c_int64() for _ in range(4))

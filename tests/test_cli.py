@@ -1,8 +1,6 @@
 """Command-line contract tests: files, determinism, exit codes, runtime."""
 
-import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -64,77 +62,70 @@ class TestDeterminism:
             assert read(out1 / name) == read(out2 / name)
 
     def test_blas_thread_count_does_not_change_metrics(self, tmp_path):
-        # below K = M the sample covariance has a repeated eigenvalue at the
-        # loading floor, whose eigenvectors LAPACK picks differently at each
-        # thread count; lr-evd aligns them with the steering vector, and the
-        # rows there agree to 1e-6 dB, the rows at K >= M to 1e-8 relative
-        cfg_path = tmp_path / "s.cfg"
-        cfg_path.write_text(
-            "[experiment]\nkind = sinr-vs-snapshots\nk_max = 128\nk_grid = 10, 16, 43, 64, 96, 128\n"
-            "runs = 2\nseed = 7\n"
-        )
+        # at the standard scene's M = 64, threaded OpenBLAS rounds the clutter
+        # product, zpotrf and zheevd differently; linalg runs one thread, so
+        # neither the thread count nor the import order reaches a byte
         src = str(Path(cli.__file__).resolve().parents[1])
-        tables = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}"
+        outputs = {}
+        for threads, order in (("1", "stapbench-first"), ("2", "stapbench-first"), ("2", "numpy-first")):
+            run_dir = tmp_path / f"{threads}-{order}"
+            run_dir.mkdir()
+            (run_dir / "s.cfg").write_text(EVERY_KIND_STUDY)
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            subprocess.run(
-                [sys.executable, "-m", "stapbench.cli", "--config", str(cfg_path), "--out", str(out)],
-                env=env, check=True, capture_output=True,
-            )
-            with open(out / "sinr-vs-snapshots.csv", newline="") as fh:
-                tables.append(list(csv.DictReader(fh)))
-        one, two = tables
-        assert len(one) == len(two) == 8 * 6
-        for a, b in zip(one, two):
-            assert (a["algorithm"], a["x_value"], a["runs"]) == (b["algorithm"], b["x_value"], b["runs"])
-            below_m = int(a["x_value"]) < 64
-            for key in ("metric", "std"):
-                x, y = float(a[key]), float(b[key])
-                assert abs(x - y) <= 1e-6 if below_m else math.isclose(x, y, rel_tol=1e-8), (a, b)
+            run = subprocess.run([sys.executable, "-c", EVERY_KIND_RUN, order], cwd=run_dir, env=env,
+                                 check=True, capture_output=True)
+            outputs[threads, order] = {p.name: p.read_bytes() for p in (run_dir / "out").iterdir()}
+            outputs[threads, order]["stdout"] = run.stdout
+        reference = outputs.pop(("1", "stapbench-first"))
+        # a CSV, a .dat per algorithm (complexity has no optimal) and stdout
+        assert len(reference) == 4 * (1 + 8) - 1 + 1
+        for setting, files in outputs.items():
+            assert files == reference, (setting, sorted(n for n in reference if files.get(n) != reference[n]))
 
 
-# Imports the CLI before numpy, as every entry point does, then reads the
-# thread count of each OpenBLAS copy mapped into the process (numpy and scipy
-# each bundle their own).
+# Small grids on the standard scene, for every experiment kind.
+EVERY_KIND_STUDY = """
+[experiment]
+k_max = 128
+k_grid = 10, 43, 128
+runs = 2
+seed = 7
+doppler_step_hz = 50
+trials = 2000
+designs = 2
+snr_grid_db = 0, 6
+m_grid = 16, 64
+"""
+
+# Runs every experiment kind through the CLI in one process. With the argument
+# "numpy-first" it imports numpy before stapbench, as a program that calls
+# cli.main from its own code may.
+EVERY_KIND_RUN = """
+import sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+from stapbench import cli, evaluation
+for kind in evaluation.RUNNERS:
+    assert cli.main(["--config", "s.cfg", "--experiment", kind, "--out", "out"]) == 0
+"""
+
+# Imports numpy before stapbench, then reads the thread count of numpy's
+# OpenBLAS, the one copy the package loads (see TestImportCost).
 BLAS_THREADS_PROBE = """
-import ctypes, json, os
-import stapbench.cli
-import scipy.linalg
-maps = open("/proc/self/maps").read().splitlines() if os.path.exists("/proc/self/maps") else []
-paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-counts = {}
-for path in paths:
-    lib = ctypes.CDLL(path)
-    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
-        if hasattr(lib, name):
-            getter = getattr(lib, name)
-            getter.restype = ctypes.c_int
-            getter.argtypes = []
-            counts[path] = getter()
-print(json.dumps(counts))
+import ctypes
+from numpy.linalg import _umath_linalg
+import stapbench.linalg
+print(ctypes.CDLL(_umath_linalg.__file__).scipy_openblas_get_num_threads64_())
 """
 
 
 class TestBlasThreads:
-    def test_cli_pins_one_thread_unless_set(self):
+    def test_linalg_pins_one_thread(self):
         src = str(Path(cli.__file__).resolve().parents[1])
-        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        base["PYTHONPATH"] = src
-
-        def threads(env):
-            run = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env, check=True,
-                                 capture_output=True, text=True)
-            return json.loads(run.stdout)
-
-        pinned = threads(base)
-        if not pinned:
-            pytest.skip("no OpenBLAS in /proc/self/maps exports scipy_openblas_get_num_threads{64_,}")
-        assert set(pinned.values()) == {1}, pinned
-        # OpenBLAS caps the count at the CPUs this process may use
-        chosen = threads(dict(base, OPENBLAS_NUM_THREADS="2"))
-        assert chosen.keys() == pinned.keys()
-        assert set(chosen.values()) == {min(2, len(os.sched_getaffinity(0)))}, chosen
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env, check=True,
+                             capture_output=True, text=True)
+        assert run.stdout.strip() == "1"
 
 
 # What importing the CLI loads: scipy modules, and the OpenBLAS shared objects

@@ -469,6 +469,40 @@ class TestSmiLossLaw:
             assert abs(point.value - optimal - expect) <= 3 * se, point.x
 
 
+class TestReducedRankLossLaw:
+    @pytest.mark.parametrize("d, k", [(16, 32), (16, 64), (32, 64), (8, 200)])
+    def test_mean_sinr_ratio_matches_rmb_law_in_d_dimensions(self, d, k):
+        # Through a data-independent (M, D) basis B, unloaded SMI on K
+        # target-free snapshots keeps a Beta(K+2-D, D-1) share rho of the
+        # subspace optimum s_D^H R_D^-1 s_D (R_D = B^H R B, s_D = B^H s): the
+        # RMB law in D dimensions, with E[rho] = (K+2-D)/(K+1). jidf_design with
+        # one branch and a one-tap interpolator is such a design, on the
+        # selection basis of its decimation pattern.
+        cfg = scene.RadarConfig()
+        cov = scene.total_covariance(cfg)
+        s = scene.target_steering(cfg, scene.TargetSpec())
+        m, runs = cfg.size, 400
+        rng = np.random.default_rng(1)
+        fixed, _ = np.linalg.qr(rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d)))
+        decimated = np.eye(m)[:, bf.decimation_indices(m, d, 0)]
+
+        def share(w, basis):
+            r_d, s_d = basis.conj().T @ cov.matrix @ basis, basis.conj().T @ s
+            best = (s_d.conj() @ np.linalg.solve(r_d, s_d)).real
+            return abs(w.conj() @ s) ** 2 / (w.conj() @ cov.matrix @ w).real / best
+
+        shares = np.empty((runs, 2))
+        for run in range(runs):
+            r_hat = scene.sample_covariance(scene.draw_interference_block(cov, k, rng))
+            shares[run] = (
+                share(bf.lr_mvdr_weights(fixed, r_hat, s), fixed),
+                share(bf.jidf_design(r_hat, s, 1, 1, d, 1), decimated),
+            )
+        law = (k + 2 - d) / (k + 1)
+        se = shares.std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(shares.mean(axis=0) - law) <= 3 * se), (shares.mean(axis=0), se, law)
+
+
 class TestSinrVsDoppler:
     def test_noise_only_curve_is_flat(self):
         cfg = noise_only_cfg(num_sensors=2, num_pulses=4, prf_hz=300.0)

@@ -7,10 +7,12 @@ script runs `python -m stapbench.cli` from each on the same studies: the four
 benchmark workloads at full size and seed 13 (config text from
 bench/workloads.py, read only) and `--experiment KIND --seed 7` for every
 experiment kind, with `--runs 2` for the two SINR sweeps (the other kinds
-reject the flag), each at OPENBLAS_NUM_THREADS=1 and =2, each in its own
-temporary directory. It compares every output file, stdout, stderr and the
-exit status byte for byte, prints each moved CSV field as config, threads,
-algorithm, x, column, old -> new, and exits 1 if anything differs.
+reject the flag), each run in its own temporary directory. The parent runs
+each study once, at OPENBLAS_NUM_THREADS=1; the change runs it at =1 and =2,
+and both of its runs must write the parent's bytes. It compares every output
+file, stdout, stderr and the exit status byte for byte, prints each moved CSV
+field as config, threads, algorithm, x, column, old -> new, and exits 1 if
+anything differs.
 
 Standard library only. It writes nothing into either tree or into this
 checkout: outputs go to a temporary directory and bytecode is not written.
@@ -113,10 +115,10 @@ def main(argv) -> int:
     differences = cases = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         for index, (name, config, args) in enumerate(studies()):
+            old = run(parent, config, args, "1", Path(tmp) / f"{index}-parent")
             for threads in THREADS:
                 label = f"{name}, threads={threads}"
-                old, new = (run(src, config, args, threads, Path(tmp) / f"{index}-{threads}-{side}")
-                            for side, src in (("parent", parent), ("change", change)))
+                new = run(change, config, args, threads, Path(tmp) / f"{index}-{threads}-change")
                 lines = compare(label, old, new)
                 cases += 1
                 differences += bool(lines)
