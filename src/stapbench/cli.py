@@ -9,7 +9,6 @@ algorithm's failed-design count exceeds the configured failure budget.
 """
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="configuration file (defaults apply if omitted)")
     parser.add_argument("--experiment", dest="kind", metavar="KIND", help="override the experiment kind")
-    parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
+    parser.add_argument("--seed", type=int, metavar="U64", help="override the experiment seed")
     parser.add_argument("--runs", type=int, metavar="N", help="override the run count of the two SINR "
                         "sweeps; with any other kind it exits 2")
     parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
@@ -68,12 +67,6 @@ def main(argv=None) -> int:
         overrides = {
             key: value for key, value in vars(args).items() if key != "config" and value is not None
         }
-        env_seed = os.environ.get("STAP_BENCH_SEED")
-        if args.seed is None and spec.seed is None and env_seed:
-            try:
-                overrides["seed"] = int(env_seed)
-            except ValueError:
-                raise ValueError(f"STAP_BENCH_SEED must be an integer, got {env_seed!r}") from None
         if overrides:
             spec = replace(spec, **overrides)
         if args.runs is not None and spec.kind not in ("sinr-vs-snapshots", "sinr-vs-doppler"):

@@ -43,7 +43,7 @@ class ExperimentSpec(AlgorithmParams):
     pfa: float = 1e-3
     loading: float = 0.01
     m_grid: tuple[int, ...] = (32, 64, 128, 256)
-    seed: int | None = None  # None -> scene master_seed
+    seed: int = 1234
     out_dir: str = "."
     failure_budget: float = 0.01
 
@@ -83,7 +83,7 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"loading must be >= 0, got {self.loading}")
         if not 0.0 <= self.failure_budget <= 1.0:
             raise ConfigError(f"failure_budget must be in [0, 1], got {self.failure_budget}")
-        if self.seed is not None and self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for key in ("rank", "branches", "interp_len", "iterations"):
             if getattr(self, key) < 1:

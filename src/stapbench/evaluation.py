@@ -342,14 +342,6 @@ def _require_kind(spec, kind: str) -> None:
         raise ValueError(f"{RUNNERS[kind]} runs {kind!r} experiments, got kind {spec.kind!r}")
 
 
-def _start(kind: str, cfg, target, spec):
-    """Check that ``spec`` is a ``kind`` experiment; return the design context
-    and the seed (the scene's master seed unless the spec sets one)."""
-    _require_kind(spec, kind)
-    seed = spec.seed if spec.seed is not None else cfg.master_seed
-    return _make_context(cfg, target, spec), seed
-
-
 def _aggregate(kind, metric_label, algorithms, grid, samples, trials=None) -> ExperimentResult:
     """Curves from per-run samples of shape (runs, algorithms, grid).
 
@@ -406,14 +398,14 @@ def _default_k_grid(k_max: int) -> tuple[int, ...]:
     return tuple(int(k) for k in grid if k <= k_max)  # _ascending sorts and dedups
 
 
-def _sinr_sweep(ctx: DesignContext, spec, seed: int, draw: int, grid, points) -> ExperimentResult:
+def _sinr_sweep(ctx: DesignContext, spec, draw: int, grid, points) -> ExperimentResult:
     """SINR curves over ``grid``: with ``points[g] = (context, K)``, point g designs
     every algorithm on the sample covariance of the first K of a run's ``draw``
     snapshots and scores it on that context. ``draw`` is fixed, as a shorter
     draw has other first columns; one estimate serves consecutive equal Ks."""
 
     def one_run(run_idx: int):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, run_idx)))
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, run_idx)))
         block = scene.draw_interference_block(ctx.cov, draw, rng)
         values = np.full((len(spec.algorithms), len(points)), np.nan)
         r_hat = None
@@ -436,9 +428,10 @@ def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec
     against the true interference covariance. The optimal bound is available
     as the "optimal" algorithm and is K-independent by construction.
     """
-    ctx, seed = _start("sinr-vs-snapshots", cfg, target, spec)
+    _require_kind(spec, "sinr-vs-snapshots")
+    ctx = _make_context(cfg, target, spec)
     grid = _ascending(spec.k_grid or _default_k_grid(spec.k_max), int)
-    return _sinr_sweep(ctx, spec, seed, spec.k_max, grid, [(ctx, k) for k in grid])
+    return _sinr_sweep(ctx, spec, spec.k_max, grid, [(ctx, k) for k in grid])
 
 
 def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -449,7 +442,8 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
     clutter notch is expected where the target Doppler crosses the clutter
     ridge at the look angle.
     """
-    ctx, seed = _start("sinr-vs-doppler", cfg, target, spec)
+    _require_kind(spec, "sinr-vs-doppler")
+    ctx = _make_context(cfg, target, spec)
     k_train = spec.effective_k_train()
     grid = tuple(float(f) for f in spec.doppler_grid())
     # one context per bin for the whole study, so each bin designs optimal once
@@ -457,7 +451,7 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
         (replace(ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)), k_train)
         for tgt in (replace(target, doppler_hz=fd) for fd in grid)
     ]
-    return _sinr_sweep(ctx, spec, seed, k_train, grid, bins)
+    return _sinr_sweep(ctx, spec, k_train, grid, bins)
 
 
 def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -470,7 +464,8 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
     Thresholds use the exact target-free output power from the true
     covariance, so the detection statistic isolates filter quality.
     """
-    ctx, seed = _start("pd-vs-snr", cfg, target, spec)
+    _require_kind(spec, "pd-vs-snr")
+    ctx = _make_context(cfg, target, spec)
     algorithms, k_train, designs = spec.algorithms, spec.effective_k_train(), spec.designs
     grid = _ascending(spec.snr_grid_db, float)
     m = cfg.size
@@ -481,7 +476,7 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
     amp = np.sqrt(cfg.noise_power * 10.0 ** (np.asarray(grid) / 10.0) * m)
 
     def one_design(didx: int):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, didx)))
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, didx)))
         block = scene.draw_interference_block(ctx.cov, k_train, rng)
         r_hat = scene.CovarianceSet.estimate(block, spec.loading)
         weights, thresholds, gains = [], [], []

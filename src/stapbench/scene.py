@@ -104,7 +104,6 @@ class RadarConfig:
     noise_power: float = 1.0
     jammers: tuple[JammerSpec, ...] = _TABLE_JAMMERS
     clutter_patches: int = 361
-    master_seed: int = 1234
 
     def __post_init__(self):
         _require_finite(self)
@@ -122,8 +121,6 @@ class RadarConfig:
             raise ValueError("noise_power must be positive")
         if self.clutter_patches < 1:
             raise ValueError(f"clutter_patches must be >= 1, got {self.clutter_patches}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     @property
     def wavelength_m(self) -> float:

@@ -21,7 +21,7 @@ from stapbench.linalg import NumericalError
 
 CFG = scene.RadarConfig()
 TARGET = scene.TargetSpec(0.0, 100.0, 10.0)
-SEED = CFG.master_seed
+SEED = ExperimentSpec().seed
 ALGS = ("optimal", "smi", "lr-evd", "lr-krylov", "lr-jio", "lr-jidf", "sa-mvdr", "ka-mvdr")
 
 
@@ -205,6 +205,28 @@ def test_jidf_rank_study_at_k800():
     announce("lr-jidf rank study at K=800 (rises with D, within 3 dB of optimal at D >= 24)",
              not problems, detail)
     assert not problems, "; ".join(problems)
+
+
+def test_jidf_clairvoyant_sinr():
+    # lr-jidf designed on the true covariance has no estimation loss, so what
+    # it leaves below optimal is structure (rank and where the decimation
+    # windows fall) and the iteration budget. At D = 8 every window covers
+    # exactly one pulse. No design on the true covariance may beat optimal
+    ctx = ev._make_context(CFG, TARGET, ExperimentSpec())
+    optimal = ev.sinr(ctx.optimal_weight, ctx.cov.matrix, ctx.steering, ctx.xi_t)
+    ranks, budgets, interp_len = (6, 8, 12, 16, 24, 32), (5, 100), 8
+    values = {}
+    for rank in ranks:
+        branches = bf.valid_branch_count(CFG.size, rank, 8)
+        for iterations in budgets:
+            w = bf.jidf_design(ctx.cov, ctx.steering, branches, interp_len, rank, iterations)
+            values[rank, iterations] = ev.sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t)
+    excess = max(values.values()) - optimal
+    detail = ", ".join(
+        f"D={rank} " + "/".join(f"{values[rank, it]:.2f}" for it in budgets) for rank in ranks
+    ) + f" dB at {'/'.join(map(str, budgets))} iterations; optimal {optimal:.2f} dB"
+    announce("lr-jidf on the true covariance (I = 8) stays at or below optimal", excess <= 1e-6, detail)
+    assert excess <= 1e-6, f"lr-jidf exceeds optimal by {excess:.2e} dB"
 
 
 def test_complexity_ordering():

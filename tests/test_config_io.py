@@ -121,10 +121,9 @@ class TestRoundTrip:
             num_pulses=6,
             cnr_db=None,
             jammers=(scene.JammerSpec(12.5, 31.0),),
-            master_seed=77,
         )
         target = scene.TargetSpec(1.0, -42.0, 7.5)
-        spec = ExperimentSpec(kind="complexity", algorithms=("smi",), m_grid=(16, 32))
+        spec = ExperimentSpec(kind="complexity", algorithms=("smi",), m_grid=(16, 32), seed=77)
         text = serialize_config(cfg, target, spec)
         cfg2, target2, spec2 = parse_config_text(text)
         assert cfg == cfg2
@@ -203,7 +202,9 @@ class TestExperimentSpec:
             ("ka_alpha", "[experiment]\nka_alpha = -0.5\n"),
             ("ka_eta", "[experiment]\nka_eta = 5\n"),
             ("seed", "[experiment]\nseed = -1\n"),
+            ("seed", "[experiment]\nseed = none\n"),
             ("master_seed", "master_seed = -5\n"),
+            ("master_seed", "master_seed = 1234\n"),
         ):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)

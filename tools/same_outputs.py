@@ -51,8 +51,7 @@ def run(src: Path, config: str | None, args: list, threads: str, workdir: Path):
     workdir.mkdir()
     if config is not None:
         (workdir / "study.cfg").write_text(config)
-    env = {key: value for key, value in os.environ.items() if key != "STAP_BENCH_SEED"}
-    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-m", "stapbench.cli", *args], cwd=workdir, env=env,
                           capture_output=True)
     out = workdir / "out"
