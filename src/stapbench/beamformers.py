@@ -7,7 +7,7 @@ an array, which the design validates once on entry and wraps, or a
 :class:`scene.CovarianceSet`, which passes through: its Cholesky factor and
 eigendecomposition are then shared by every design that reads it. Matrices a
 design forms itself are Hermitian by construction and go to the unchecked
-kernels ``linalg.cholesky``/``linalg.cholesky_solve``.
+``linalg.hpd_solve`` (LAPACK ``zposv``); only ``CovarianceSet`` keeps a factor.
 
 Every design ends in one scaling step (``_distortionless``): a direction x
 becomes x / (s^H x), and the design raises ``NumericalError`` when
@@ -83,7 +83,7 @@ def lr_mvdr_weights(basis: np.ndarray, r, s) -> np.ndarray:
     rd = 0.5 * (rd + rd.conj().T)
     sd = basis.conj().T @ np.asarray(s, dtype=complex)
     try:
-        x = linalg.cholesky_solve(linalg.cholesky(rd), sd)
+        x = linalg.hpd_solve(rd, sd)
     except NumericalError as exc:
         raise NumericalError(f"projected covariance is rank-deficient: {exc}") from exc
     return basis @ _distortionless(sd, x)
@@ -224,7 +224,7 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
     gradient_dirs: list[np.ndarray] = []
     for it in range(iterations):
         ridge = scale * 10.0 ** (-(1.0 + 0.5 * it))
-        ladder_dirs.append(linalg.cholesky_solve(linalg.cholesky(_plus_diagonal(r, ridge)), s))
+        ladder_dirs.append(linalg.hpd_solve(_plus_diagonal(r, ridge), s))
         gradient_dirs.append(r @ w)
         pool = [s, w] + ladder_dirs[::-1] + gradient_dirs[::-1] + identity_cols
         candidate = _orthonormal_from(pool, rank)
@@ -371,7 +371,7 @@ def sa_mvdr_weights(r, s, penalty: float, epsilon: float, iterations: int) -> np
         for _ in range(iterations):
             reweight = 1.0 / (np.abs(w) + epsilon)
             loaded = _plus_diagonal(cov.matrix, penalty * reweight)
-            w_new = _distortionless(s, linalg.cholesky_solve(linalg.cholesky(loaded), s))
+            w_new = _distortionless(s, linalg.hpd_solve(loaded, s))
             change = np.linalg.norm(w_new - w) / max(np.linalg.norm(w), 1e-300)
             w = w_new
             if change <= SA_TOLERANCE:
@@ -434,7 +434,7 @@ def ka_mvdr_weights(
     if mode not in ("fixed_eta", "optimal_eta"):
         raise ValueError(f"unknown knowledge-aided mode {mode!r}")
     data_dir = cov.solve(s)
-    prior_dir = linalg.cholesky_solve(linalg.cholesky(prior.matrix), s)
+    prior_dir = linalg.hpd_solve(prior.matrix, s)
     if mode == "optimal_eta":
         reference = cov.matrix
         diff = prior_dir - data_dir

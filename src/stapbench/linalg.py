@@ -4,12 +4,12 @@ Everything operates on double-precision complex numpy arrays. Storage is
 dense throughout: the dimensions of interest (a few hundred at most) never
 justify sparse formats.
 
-The Cholesky factor and solve call LAPACK's ``zpotrf`` and ``zpotrs``
-through ``ctypes``, in the OpenBLAS that numpy's own linear-algebra
-extension links, so the package loads no second LAPACK. The numpy wheels
-bundle that OpenBLAS as a 64-bit-integer (ILP64) build whose symbols carry
-a ``scipy_`` prefix and a ``64_`` suffix. The factor is kept column-major,
-as LAPACK stores it, so that a solve copies only its right-hand side.
+The positive-definite kernels call LAPACK's ``zposv`` (``hpd_solve``, and
+``cholesky`` with no right-hand side) and ``zpotrs`` (``cholesky_solve``)
+through ``ctypes``, in the OpenBLAS that numpy's own linear-algebra extension
+links, so the package loads no second LAPACK. The numpy wheels bundle it as a
+64-bit-integer (ILP64) build whose symbols carry a ``scipy_`` prefix and a
+``64_`` suffix.
 """
 
 import ctypes
@@ -23,6 +23,7 @@ __all__ = [
     "NumericalError",
     "require_hermitian",
     "eigh_descending",
+    "hpd_solve",
     "cholesky",
     "cholesky_solve",
     "covariance_factor",
@@ -51,20 +52,19 @@ def _openblas(name: str):
         raise ImportError(f"numpy's OpenBLAS does not export {name}") from None
 
 
-def _lapack(name: str, pointers: int):
-    """The Fortran routine ``name`` of numpy's OpenBLAS, taking a one-character
-    option, ``pointers`` addresses (every integer is a 64-bit int passed by
-    address) and the option's hidden ``size_t`` length."""
-    routine = _openblas(name)
-    routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * pointers + [ctypes.c_size_t]
+def _lapack(name: str):
+    """The Fortran routine ``name`` of numpy's OpenBLAS, taking zposv's
+    arguments: a one-character option, seven addresses (every integer is a
+    64-bit int passed by address) and the option's hidden ``size_t`` length."""
+    routine = _openblas(f"scipy_{name}_64_")
+    routine.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 7 + [ctypes.c_size_t]
     routine.restype = None
     return routine
 
 
-_zpotrf = _lapack("scipy_zpotrf_64_", 4)
-_zpotrs = _lapack("scipy_zpotrs_64_", 7)
+_zposv, _zpotrs = _lapack("zposv"), _lapack("zpotrs")
 # One thread for the whole process, whatever the environment or import order:
-# threaded zgemm, zpotrf and zheevd round differently at each thread count.
+# threaded zgemm, zposv and zheevd round differently at each thread count.
 _openblas("scipy_openblas_set_num_threads64_")(1)
 # The integer arguments, allocated once and passed by address. A LAPACK call
 # releases the interpreter lock, so the lock keeps two threads from sharing them.
@@ -122,53 +122,53 @@ def eigh_descending(h) -> tuple[np.ndarray, np.ndarray]:
     return values[::-1], vectors[:, ::-1]
 
 
-def cholesky(h) -> np.ndarray:
-    """Upper Cholesky factor U of a Hermitian positive-definite ``h`` = U^H U.
+def _upper_call(routine, a: np.ndarray, b) -> np.ndarray:
+    """``b`` solved by ``routine`` in a new column-major copy: ``_zposv``, which
+    also overwrites the column-major ``a`` with its upper factor, or ``_zpotrs``."""
+    x = np.array(b, dtype=complex, order="F")
+    if a.ndim != 2 or x.ndim not in (1, 2) or not a.shape[0] == a.shape[1] == x.shape[0]:
+        raise ValueError(f"cannot solve: need a square matrix and matching rows, got {a.shape}, {x.shape}")
+    with _ARGS_LOCK:
+        _N.value, _LD.value = a.shape[0], max(a.shape[0], 1)
+        _NRHS.value = 1 if x.ndim == 1 else x.shape[1]
+        routine(b"U", _N_P, _NRHS_P, a.ctypes.data, _LD_P, x.ctypes.data, _LD_P, _INFO_P, 1)
+        info = _INFO.value
+    if info > 0:
+        raise NumericalError(f"matrix is not positive definite: Cholesky pivot {info} failed")
+    if info < 0:
+        raise NumericalError(f"LAPACK rejected argument {-info}")
+    return x
+
+
+def hpd_solve(h, b) -> np.ndarray:
+    """Solve h x = b for a Hermitian positive-definite ``h`` in one LAPACK
+    call, bit for bit ``cholesky_solve(cholesky(h), b)``; ``b`` may be a
+    vector or a matrix of stacked right-hand sides.
 
     Unchecked: ``h`` must already be exactly Hermitian and finite (the output
     of :func:`require_hermitian`, or Hermitian by construction); only its
-    upper triangle is read, and the strict lower triangle of the result is
-    left as ``h`` had it. The result is a new column-major array; ``h`` is
-    not written to. Pass the result to :func:`cholesky_solve`.
+    upper triangle is read. Neither argument is written to.
 
     Raises:
         NumericalError: if ``h`` is not positive definite, naming the failing
             pivot (1-based).
     """
+    return _upper_call(_zposv, np.array(h, dtype=complex, order="F"), b)
+
+
+def cholesky(h) -> np.ndarray:
+    """Upper Cholesky factor U of ``h`` = U^H U, made and checked as in
+    :func:`hpd_solve`, for :func:`cholesky_solve` to reuse. A new column-major
+    array, whose strict lower triangle is left as ``h`` had it."""
     factor = np.array(h, dtype=complex, order="F")
-    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-        raise ValueError(f"Cholesky needs a square matrix, got shape {factor.shape}")
-    n = factor.shape[0]
-    with _ARGS_LOCK:
-        _N.value, _LD.value = n, max(n, 1)
-        _zpotrf(b"U", _N_P, factor.ctypes.data, _LD_P, _INFO_P, 1)
-        info = _INFO.value
-    if info > 0:
-        raise NumericalError(f"matrix is not positive definite: Cholesky pivot {info} failed")
-    if info < 0:
-        raise NumericalError(f"Cholesky factorization rejected argument {-info}")
+    _upper_call(_zposv, factor, np.empty(factor.shape[:1] + (0,)))
     return factor
 
 
 def cholesky_solve(factor: np.ndarray, b) -> np.ndarray:
-    """Solve U^H U x = b with the upper factor U from :func:`cholesky`;
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
-
-    Neither argument is written to; ``x`` is a new array of ``b``'s shape.
-    """
-    factor = np.asarray(factor, dtype=complex, order="F")
-    x = np.array(b, dtype=complex, order="F")
-    if factor.ndim != 2 or x.ndim not in (1, 2) or not factor.shape[0] == factor.shape[1] == x.shape[0]:
-        raise ValueError(f"cannot solve with a {factor.shape} factor for right-hand side {x.shape}")
-    n = factor.shape[0]
-    with _ARGS_LOCK:
-        _N.value, _LD.value = n, max(n, 1)
-        _NRHS.value = 1 if x.ndim == 1 else x.shape[1]
-        _zpotrs(b"U", _N_P, _NRHS_P, factor.ctypes.data, _LD_P, x.ctypes.data, _LD_P, _INFO_P, 1)
-        info = _INFO.value
-    if info < 0:
-        raise NumericalError(f"triangular solve rejected argument {-info}")
-    return x
+    """Solve U^H U x = b with the upper factor U from :func:`cholesky`, for a
+    vector or stacked ``b``; neither argument is written to."""
+    return _upper_call(_zpotrs, np.asarray(factor, dtype=complex, order="F"), b)
 
 
 def covariance_factor(r) -> np.ndarray:

@@ -423,11 +423,12 @@ class TestJidf:
             stacks.append(a.shape)
             return real_solve(a, b)
 
-        def no_cholesky(h):
+        def no_factor(*args):
             raise AssertionError("jidf_design factored a matrix")
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        monkeypatch.setattr(linalg, "cholesky", no_cholesky)
+        monkeypatch.setattr(linalg, "cholesky", no_factor)
+        monkeypatch.setattr(linalg, "hpd_solve", no_factor)
         bf.jidf_design(r_hat, s, 8, 8, 6, 5)
         assert stacks == [(8, 6, 6), (8, 8, 8)] * 5
 
@@ -721,7 +722,7 @@ class TestValidationAtTheBoundary:
     def test_sa_mvdr_validates_once(self, monkeypatch):
         # the start and every reweighting pass factor a matrix, and share one check
         checked, factored = [], []
-        real_check, real_cholesky = linalg.require_hermitian, linalg.cholesky
+        real_check, real_cholesky, real_solve = linalg.require_hermitian, linalg.cholesky, linalg.hpd_solve
 
         def counting_check(a, name="matrix"):
             checked.append(name)
@@ -731,8 +732,13 @@ class TestValidationAtTheBoundary:
             factored.append(h.shape)
             return real_cholesky(h)
 
+        def counting_solve(h, b):
+            factored.append(h.shape)
+            return real_solve(h, b)
+
         monkeypatch.setattr(linalg, "require_hermitian", counting_check)
         monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(linalg, "hpd_solve", counting_solve)
         rng = np.random.default_rng(41)
         bf.sa_mvdr_weights(random_hpd(rng, 16, floor=1.0), random_steering(rng, 16), 1.0, 0.1, 10)
         assert len(factored) > 2  # the start and at least two reweighting passes

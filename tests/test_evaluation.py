@@ -176,13 +176,18 @@ class TestDesignTable:
         expected = bf.sa_mvdr_weights(
             scene.CovarianceSet.estimate(block, 0.01), ctx.steering, 2.0, p.sa_epsilon, p.iterations
         )
-        factored, real_cholesky = [], linalg.cholesky
+        factored, real_cholesky, real_solve = [], linalg.cholesky, linalg.hpd_solve
 
         def counting_cholesky(h):
             factored.append(h)
             return real_cholesky(h)
 
+        def counting_solve(h, b):
+            factored.append(h)
+            return real_solve(h, b)
+
         monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(linalg, "hpd_solve", counting_solve)
         w = ev.design_algorithm("sa-mvdr", ctx, scene.CovarianceSet.estimate(block, 0.01)).w
         monkeypatch.undo()
         assert np.array_equal(w, expected)

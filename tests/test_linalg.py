@@ -1,5 +1,8 @@
 """Kernel tests: validation, eigendecomposition, HPD solves, Kronecker layout, sampling."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -66,7 +69,7 @@ class TestHermitianEvd:
 
 
 class TestHpdSolve:
-    """``linalg.cholesky`` and ``linalg.cholesky_solve``, and ``CovarianceSet.solve``."""
+    """``linalg.hpd_solve``, ``linalg.cholesky``, ``linalg.cholesky_solve`` and ``CovarianceSet.solve``."""
 
     def test_identity(self):
         b = np.array([1.0 + 2j, -3.0, 0.5j])
@@ -103,6 +106,12 @@ class TestHpdSolve:
     def test_non_pd_reports_pivot(self):
         with pytest.raises(NumericalError, match="pivot 2"):
             linalg.cholesky(np.diag([1.0, -1.0]))
+        for h in (np.diag([1.0, 2.0, -1.0, 3.0]), random_hermitian(np.random.default_rng(13), 6)):
+            with pytest.raises(NumericalError, match="pivot") as factored:
+                linalg.cholesky(h)
+            with pytest.raises(NumericalError, match="pivot") as solved:
+                linalg.hpd_solve(h, np.ones(h.shape[0]))
+            assert str(solved.value) == str(factored.value)
         with pytest.raises(NumericalError, match="pivot 2"):
             scene.CovarianceSet(np.diag([1.0, -1.0])).solve(np.array([1.0, 1.0]))
 
@@ -127,11 +136,12 @@ def in_layout(a, layout):
 
 
 class TestLapackBinding:
-    """``cholesky`` and ``cholesky_solve`` call LAPACK on arrays of their own.
+    """``hpd_solve``, ``cholesky`` and ``cholesky_solve`` call LAPACK on arrays
+    of their own.
 
     LAPACK overwrites its matrix arguments; were the caller's array passed
-    through, a solve would silently corrupt ``CovarianceSet.matrix`` or the
-    factor it caches.
+    through, a solve would silently corrupt ``CovarianceSet.matrix``, the
+    factor it caches, or a matrix a design goes on to use.
     """
 
     def test_inputs_are_left_unchanged(self):
@@ -149,6 +159,12 @@ class TestLapackBinding:
         h = np.asfortranarray(matrix)
         linalg.cholesky(h)
         np.testing.assert_array_equal(h, matrix)
+        b = np.asfortranarray(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+        before = b.copy()
+        linalg.hpd_solve(h, b)
+        linalg.hpd_solve(h, b[:, 0])
+        np.testing.assert_array_equal(h, matrix)
+        np.testing.assert_array_equal(b, before)
 
     @pytest.mark.parametrize("layout", ("real", "c-ordered", "fortran-ordered", "sliced"))
     def test_layouts_give_the_contiguous_complex_result(self, layout):
@@ -162,6 +178,8 @@ class TestLapackBinding:
         for rhs in (b, b[:, 0]):
             expect = linalg.cholesky_solve(factor, np.ascontiguousarray(rhs, dtype=complex))
             got = linalg.cholesky_solve(in_layout(factor, layout), in_layout(rhs, layout))
+            np.testing.assert_array_equal(got, expect)
+            got = linalg.hpd_solve(in_layout(h, layout), in_layout(rhs, layout))
             np.testing.assert_array_equal(got, expect)
 
     def test_vector_and_stacked_right_hand_sides(self):
@@ -177,6 +195,18 @@ class TestLapackBinding:
             np.testing.assert_array_equal(x[:, j], column)
         assert np.linalg.norm(a @ x - stacked) <= 1e-10 * np.linalg.norm(stacked)
         assert linalg.cholesky_solve(factor, stacked[:, :1]).shape == (9, 1)
+        np.testing.assert_array_equal(linalg.hpd_solve(a, stacked), x)
+        for j in range(4):
+            np.testing.assert_array_equal(linalg.hpd_solve(a, stacked[:, j]), x[:, j])
+        assert linalg.hpd_solve(a, stacked[:, :1]).shape == (9, 1)
+
+    @pytest.mark.parametrize("n", (1, 6, 8, 64, 256))
+    def test_hpd_solve_is_factor_then_solve_bit_for_bit(self, n):
+        rng = np.random.default_rng(35)
+        h = scene.CovarianceSet(random_hpd(rng, n)).matrix
+        for b in (rng.normal(size=n) + 1j * rng.normal(size=n), rng.normal(size=(n, 3)) + 0j):
+            expect = linalg.cholesky_solve(linalg.cholesky(h), b)
+            np.testing.assert_array_equal(linalg.hpd_solve(h, b), expect)
 
     @pytest.mark.parametrize("n", (1, 8, 64))
     def test_upper_triangle_matches_numpy(self, n):
@@ -185,15 +215,49 @@ class TestLapackBinding:
         gap = np.linalg.norm(np.triu(linalg.cholesky(h)) - expect)
         assert gap <= 1e-12 * np.linalg.norm(expect)
 
-    def test_shape_mismatch_is_refused_before_lapack(self):
+    def test_shape_mismatch_is_refused_before_lapack(self, monkeypatch):
         factor = linalg.cholesky(np.eye(3))
-        with pytest.raises(ValueError, match="square"):
-            linalg.cholesky(np.ones((2, 3)))
+
+        def no_lapack(*args):
+            raise AssertionError("LAPACK was called")
+
+        monkeypatch.setattr(linalg, "_zposv", no_lapack)
+        monkeypatch.setattr(linalg, "_zpotrs", no_lapack)
+        for h in (np.ones((2, 3)), np.ones(3), np.ones(())):
+            with pytest.raises(ValueError, match="square"):
+                linalg.cholesky(h)
+            with pytest.raises(ValueError, match="square"):
+                linalg.hpd_solve(h, np.ones(3))
         for b in (np.ones(4), np.ones((2, 1)), np.ones((3, 1, 1)), np.ones(())):
             with pytest.raises(ValueError, match="cannot solve"):
                 linalg.cholesky_solve(factor, b)
+            with pytest.raises(ValueError, match="cannot solve"):
+                linalg.hpd_solve(np.eye(3), b)
         with pytest.raises(ValueError, match="cannot solve"):
             linalg.cholesky_solve(factor[:, :2], np.ones(3))
+        with pytest.raises(ValueError, match="cannot solve"):
+            linalg.hpd_solve(np.eye(3)[:, :2], np.ones(3))
+
+    def test_threads_share_the_integer_arguments_safely(self):
+        # every call passes its sizes through one set of module-level integers;
+        # four threads of different sizes must each get the serial result
+        rng = np.random.default_rng(37)
+        sizes = (3, 8, 17, 64)
+        systems = [(random_hpd(rng, n), rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))) for n in sizes]
+
+        def run(h, b):
+            factor = linalg.cholesky(h)
+            return [linalg.hpd_solve(h, b), factor, linalg.cholesky_solve(factor, b[:, 0])]
+
+        serial = [run(h, b) for h, b in systems]
+        start = threading.Barrier(len(systems))
+
+        def mismatches(i):
+            start.wait()
+            return sum(not all(map(np.array_equal, run(*systems[i]), serial[i])) for _ in range(200))
+
+        with ThreadPoolExecutor(max_workers=len(systems)) as pool:
+            assert list(pool.map(mismatches, range(len(systems)))) == [0] * len(systems)
 
 
 class TestKron:
