@@ -4,10 +4,12 @@ Every design takes a covariance (true or estimated) and a unit-energy
 steering vector and returns the full-length weight vector as an array, which
 satisfies the distortionless constraint w^H s = 1. The covariance is either
 an array, which the design validates once on entry and wraps, or a
-:class:`scene.CovarianceSet`, which passes through: its Cholesky factor and
-eigendecomposition are then shared by every design that reads it. Matrices a
-design forms itself are Hermitian by construction and go to the unchecked
-``linalg.hpd_solve`` (LAPACK ``zposv``); only ``CovarianceSet`` keeps a factor.
+:class:`scene.CovarianceSet`, which passes through. One rule solves: a
+``CovarianceSet`` (sample, true or prior covariance) through its own
+``solve``, whose Cholesky factor, like its eigendecomposition, is kept for
+the set's life and shared by every design that reads it; a matrix a design
+forms itself, Hermitian by construction, through the unchecked
+``linalg.hpd_solve`` (LAPACK ``zposv``).
 
 Every design ends in one scaling step (``_distortionless``): a direction x
 becomes x / (s^H x), and the design raises ``NumericalError`` when
@@ -421,20 +423,18 @@ def ka_mvdr_weights(
             ``r_hat``, the best available stand-in for the unknown truth,
             clamped to [0, 1];
             a vanishing curvature falls back to eta = 0.5.
-
-    The prior is factored on every call: it lives for the whole study, and a
-    factor cached on it would too.
     """
     s = np.asarray(s, dtype=complex)
     cov = scene.CovarianceSet.of(r_hat)
     if mode == "fixed_alpha":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("fixed_alpha mode needs alpha in [0, 1]")
-        return mvdr_weights(alpha * prior.matrix + (1.0 - alpha) * cov.matrix, s)
+        blend = alpha * prior.matrix + (1.0 - alpha) * cov.matrix  # Hermitian by construction
+        return _distortionless(s, linalg.hpd_solve(blend, s))
     if mode not in ("fixed_eta", "optimal_eta"):
         raise ValueError(f"unknown knowledge-aided mode {mode!r}")
     data_dir = cov.solve(s)
-    prior_dir = linalg.hpd_solve(prior.matrix, s)
+    prior_dir = prior.solve(s)
     if mode == "optimal_eta":
         reference = cov.matrix
         diff = prior_dir - data_dir

@@ -10,7 +10,6 @@ merged by run index.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -150,7 +149,9 @@ def adaptive_rank(k_snapshots: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class DesignContext:
-    """Everything a designer may draw on besides the training data."""
+    """Everything a designer may draw on besides the training data. ``cov``
+    (the true covariance) and ``prior`` are built once per study and shared
+    by every context ``replace`` derives from it, so each keeps one factor."""
 
     cfg: scene.RadarConfig
     cov: scene.CovarianceSet
@@ -158,14 +159,6 @@ class DesignContext:
     xi_t: float
     params: AlgorithmParams
     prior: scene.CovarianceSet | None = None
-
-    @cached_property
-    def optimal_weight(self) -> np.ndarray:
-        """The clairvoyant weight on the true covariance, designed on first use
-        and kept with this context; ``replace`` builds a context without it.
-        The bare matrix is factored for this one design: a factor cached on
-        ``cov`` would live for the whole study."""
-        return bf.mvdr_weights(self.cov.matrix, self.steering)
 
 
 @dataclass
@@ -184,7 +177,7 @@ class Design:
 
 
 def _design_optimal(ctx: DesignContext, r_hat):
-    return ctx.optimal_weight.copy(), {}  # the cached weight stays as designed
+    return bf.mvdr_weights(ctx.cov, ctx.steering), {}
 
 
 def _design_smi(ctx: DesignContext, r_hat):
@@ -446,7 +439,6 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
     ctx = _make_context(cfg, target, spec)
     k_train = spec.effective_k_train()
     grid = tuple(float(f) for f in spec.doppler_grid())
-    # one context per bin for the whole study, so each bin designs optimal once
     bins = [
         (replace(ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)), k_train)
         for tgt in (replace(target, doppler_hz=fd) for fd in grid)

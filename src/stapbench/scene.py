@@ -240,15 +240,17 @@ def noise_covariance(cfg: RadarConfig) -> np.ndarray:
 class CovarianceSet:
     """A validated Hermitian covariance and what is derived from it, each computed once.
 
-    It holds either the scene's interference-plus-noise covariance, which
-    snapshot draws and scoring read, or a loaded sample covariance, which the
-    designs read; a sample covariance keeps its training ``snapshots``.
-    ``matrix`` is checked once, on construction
+    It holds the scene's interference-plus-noise covariance, which snapshot
+    draws, scoring and the ``optimal`` design read; the knowledge-aided
+    prior; or a loaded sample covariance, which keeps its training
+    ``snapshots``. ``matrix`` is checked once, on construction
     (``linalg.require_hermitian``), and stored exactly Hermitian, so nothing
-    that reads it checks it again. The sampling factor, the Cholesky factor
-    and the eigendecomposition are each computed on first use and kept for
-    the life of the object: every design and Doppler bin that reads one
-    covariance shares them.
+    that reads it checks it again or wraps it a second time. The sampling
+    factor, the Cholesky factor and the eigendecomposition are each computed
+    on first use and kept for the life of the object: every solve against
+    the covariance goes through :meth:`solve`, so the true covariance and the
+    prior are factored once per study and a sample covariance once per
+    estimate.
     """
 
     matrix: np.ndarray

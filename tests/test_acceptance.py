@@ -213,7 +213,7 @@ def test_jidf_clairvoyant_sinr():
     # windows fall) and the iteration budget. At D = 8 every window covers
     # exactly one pulse. No design on the true covariance may beat optimal
     ctx = ev._make_context(CFG, TARGET, ExperimentSpec())
-    optimal = ev.sinr(ctx.optimal_weight, ctx.cov.matrix, ctx.steering, ctx.xi_t)
+    optimal = ev.sinr(bf.mvdr_weights(ctx.cov, ctx.steering), ctx.cov.matrix, ctx.steering, ctx.xi_t)
     ranks, budgets, interp_len = (6, 8, 12, 16, 24, 32), (5, 100), 8
     values = {}
     for rank in ranks:

@@ -226,7 +226,7 @@ class TestDesignProperties:
         ctx = ev._make_context(cfg, tgt, ExperimentSpec(loading=loading))
         block = scene.draw_interference_block(ctx.cov, k, np.random.default_rng(seed))
         r_hat = scene.CovarianceSet.estimate(block, loading)
-        bound = ev.sinr(ctx.optimal_weight, ctx.cov.matrix, ctx.steering, ctx.xi_t)
+        bound = ev.sinr(bf.mvdr_weights(ctx.cov, ctx.steering), ctx.cov.matrix, ctx.steering, ctx.xi_t)
         for name in ev.ALGORITHMS:
             w = ev.design_algorithm(name, ctx, r_hat).w
             assert ev.sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t) <= bound + 1e-9, name
@@ -590,30 +590,59 @@ class TestSinrVsDoppler:
                 reference.append((name, fd, value, 0.0, 1))
         assert list(result.rows()) == reference
 
-    def test_optimal_factors_the_true_covariance_once_per_bin(self, monkeypatch):
-        # optimal's weight depends only on the steering vector: each of the 5
-        # bins designs it once for both runs, where a design per run and bin
-        # would factor the true covariance 10 times
-        cfg = scene.RadarConfig(
-            num_sensors=4, num_pulses=4, cnr_db=30.0,
-            jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
-        )
-        spec = ExperimentSpec(
-            kind="sinr-vs-doppler", algorithms=ev.ALGORITHMS, doppler_min_hz=-100.0,
-            doppler_max_hz=100.0, doppler_step_hz=50.0, k_train=40, runs=2, seed=6,
-        )
-        r_total = scene.total_covariance(cfg).matrix
-        factored = []
-        real_cholesky = linalg.cholesky
+    SMALL_DOPPLER_CFG = scene.RadarConfig(
+        num_sensors=4, num_pulses=4, cnr_db=30.0,
+        jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
+    )
+    SMALL_DOPPLER_SPEC = ExperimentSpec(
+        kind="sinr-vs-doppler", algorithms=ev.ALGORITHMS, doppler_min_hz=-100.0,
+        doppler_max_hz=100.0, doppler_step_hz=50.0, k_train=40, runs=2, seed=6,
+    )
+
+    def test_study_covariances_are_factored_once(self, monkeypatch):
+        # the true covariance (optimal) and the prior (ka-mvdr) live for the
+        # whole study and are solved through their own cached factor: one
+        # factor each for 5 bins x 2 runs, and no one-shot solve on either
+        cfg, spec = self.SMALL_DOPPLER_CFG, self.SMALL_DOPPLER_SPEC
+        ctx = ev._make_context(cfg, scene.TargetSpec(), spec)
+        study = {"true": ctx.cov.matrix, "prior": ctx.prior.matrix}
+        factored, solved = dict.fromkeys(study, 0), dict.fromkeys(study, 0)
+        real_cholesky, real_solve = linalg.cholesky, linalg.hpd_solve
+
+        def count(counts, h):
+            for key, matrix in study.items():
+                counts[key] += np.array_equal(h, matrix)
 
         def counting_cholesky(h):
-            factored.append(np.array_equal(h, r_total))
+            count(factored, h)
             return real_cholesky(h)
 
+        def counting_solve(h, b):
+            count(solved, h)
+            return real_solve(h, b)
+
         monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(linalg, "hpd_solve", counting_solve)
         result = ev.run_sinr_vs_doppler(cfg, scene.TargetSpec(), spec)
         assert len(result.curves["optimal"]) == 5
-        assert sum(factored) == 5
+        assert factored == {"true": 1, "prior": 1}
+        assert solved == {"true": 0, "prior": 0}
+
+    def test_validates_each_covariance_once(self, monkeypatch):
+        # the scene covariance, the prior and each run's estimate are checked
+        # on construction, and nothing wraps a checked matrix again
+        spec = self.SMALL_DOPPLER_SPEC
+        assert "ka-mvdr" in spec.algorithms
+        checked = []
+        real_check = linalg.require_hermitian
+
+        def counting_check(a, name="matrix"):
+            checked.append(name)
+            return real_check(a, name)
+
+        monkeypatch.setattr(linalg, "require_hermitian", counting_check)
+        ev.run_sinr_vs_doppler(self.SMALL_DOPPLER_CFG, scene.TargetSpec(), spec)
+        assert len(checked) == 2 + spec.runs
 
 
 SMALL_PD_SPEC = ExperimentSpec(

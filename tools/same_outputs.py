@@ -5,14 +5,16 @@
 PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts. The
 script runs `python -m stapbench.cli` from each on the same studies: the four
 benchmark workloads at full size and seed 13 (config text from
-bench/workloads.py, read only) and `--experiment KIND --seed 7` for every
-experiment kind, with `--runs 2` for the two SINR sweeps (the other kinds
-reject the flag), each run in its own temporary directory. The parent runs
-each study once, at OPENBLAS_NUM_THREADS=1; the change runs it at =1 and =2,
-and both of its runs must write the parent's bytes. It compares every output
-file, stdout, stderr and the exit status byte for byte, prints each moved CSV
-field as config, threads, algorithm, x, column, old -> new, and exits 1 if
-anything differs.
+bench/workloads.py, read only); the small `doppler-m64` study at 2 runs with
+`ka_mode = fixed_alpha` and with `ka_mode = fixed_eta`, the two knowledge-aided
+solve paths that no workload or CLI default runs; and `--experiment KIND
+--seed 7` for every experiment kind, with `--runs 2` for the two SINR sweeps
+(the other kinds reject the flag). Each run has its own temporary directory.
+The parent runs each study once, at OPENBLAS_NUM_THREADS=1; the change runs
+it at =1 and =2, and both of its runs must write the parent's bytes. It
+compares every output file, stdout, stderr and the exit status byte for byte,
+prints each moved CSV field as config, threads, algorithm, x, column, old ->
+new, and exits 1 if anything differs.
 
 Standard library only. It writes nothing into either tree or into this
 checkout: outputs go to a temporary directory and bytecode is not written.
@@ -25,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -35,12 +38,17 @@ BENCH_SEED = 13
 KINDS = ("sinr-vs-snapshots", "sinr-vs-doppler", "pd-vs-snr", "complexity")
 RUNS_KINDS = KINDS[:2]  # the kinds that take --runs
 THREADS = ("1", "2")
+KA_MODES = ("fixed_alpha", "fixed_eta")
 
 
 def studies():
     """(name, config text or None, CLI arguments) of every study compared."""
     for name, workload in workloads.WORKLOADS.items():
         yield name, workload.study(small=False).config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
+    doppler = workloads.WORKLOADS["doppler-m64"].study(small=True)
+    for mode in KA_MODES:
+        study = replace(doppler, experiment=dict(doppler.experiment, runs=2, ka_mode=mode))
+        yield f"doppler-m64 small, ka_mode={mode}", study.config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
     for kind in KINDS:
         args = [kind, *(["--runs", "2"] if kind in RUNS_KINDS else []), "--seed", "7"]
         yield " ".join(args), None, ["--experiment", *args, "--out", "out"]
