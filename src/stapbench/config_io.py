@@ -60,6 +60,8 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.trials < 1 or self.designs < 1:
             raise ConfigError("trials and designs must be >= 1")
+        if self.kind == "pd-vs-snr" and self.trials < self.designs:
+            raise ConfigError(f"trials must be >= designs, got trials {self.trials} < designs {self.designs}")
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.k_grid is not None and not all(1 <= k <= self.k_max for k in self.k_grid):

@@ -3,7 +3,10 @@
 The four experiments mirror a standard airborne-radar benchmarking protocol:
 output SINR against training-set size, output SINR against target Doppler,
 detection probability against SNR, and arithmetic cost against problem size.
-All Monte-Carlo paths are bit-reproducible given (seed, configuration): every
+The three Monte-Carlo runners share one run loop (``_designed``), which owns
+the seeding, the snapshot draw, the covariance estimate, the design of every
+algorithm and the failure rule; a design block of the detection sweep is one
+run of it. Every path is bit-reproducible given (seed, configuration): every
 run owns a private generator seeded by (seed, run_index), and results are
 merged by run index.
 """
@@ -368,19 +371,6 @@ def _aggregate(kind, metric_label, algorithms, grid, samples, trials=None) -> Ex
     return ExperimentResult(kind, metric_label, curves, failures, designs)
 
 
-def _sinr_of_designs(ctx: DesignContext, algorithms, r_hat) -> np.ndarray:
-    """Output SINR of each algorithm designed on ``r_hat``, scored against the
-    true covariance; NaN marks a failed design."""
-    values = np.full(len(algorithms), np.nan)
-    for ai, name in enumerate(algorithms):
-        try:
-            w = design_algorithm(name, ctx, r_hat).w
-            values[ai] = sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t)
-        except (NumericalError, np.linalg.LinAlgError):
-            pass  # the NaN left in place counts as a failed design
-    return values
-
-
 def _ascending(values, kind) -> tuple:
     """The one rule for every grid: ``values`` as ``kind``, sorted, each once."""
     return tuple(sorted({kind(v) for v in values}))
@@ -391,25 +381,45 @@ def _default_k_grid(k_max: int) -> tuple[int, ...]:
     return tuple(int(k) for k in grid if k <= k_max)  # _ascending sorts and dedups
 
 
-def _sinr_sweep(ctx: DesignContext, spec, draw: int, grid, points) -> ExperimentResult:
-    """SINR curves over ``grid``: with ``points[g] = (context, K)``, point g designs
-    every algorithm on the sample covariance of the first K of a run's ``draw``
-    snapshots and scores it on that context. ``draw`` is fixed, as a shorter
-    draw has other first columns; one estimate serves consecutive equal Ks."""
+def _designed(ctx: DesignContext, spec, runs: int, draw: int, points):
+    """Every Monte-Carlo run's designs, as (run, point index, point context,
+    weights, generator).
 
-    def one_run(run_idx: int):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, run_idx)))
+    Run r seeds its generator from (seed, r) and draws ``draw`` target-free
+    snapshots. With ``points[g] = (context, K)``, point g designs every
+    algorithm on that context and on the sample covariance of the first K of
+    the run's snapshots. ``draw`` is fixed, as a shorter draw has other first
+    columns; one estimate serves consecutive equal Ks. ``weights`` is
+    (algorithms, M): a design that raises leaves a NaN row, which every scorer
+    counts as a failed design. The generator is yielded for a scorer that
+    draws more from the run's stream.
+    """
+    for run in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, run)))
         block = scene.draw_interference_block(ctx.cov, draw, rng)
-        values = np.full((len(spec.algorithms), len(points)), np.nan)
         r_hat = None
         for gi, (point_ctx, k) in enumerate(points):
             if r_hat is None or r_hat.snapshots.shape[1] != k:
                 r_hat = None  # free the last estimate before building the next
                 r_hat = scene.CovarianceSet.estimate(block[:, :k], spec.loading)
-            values[:, gi] = _sinr_of_designs(point_ctx, spec.algorithms, r_hat)
-        return values
+            weights = np.full((len(spec.algorithms), ctx.steering.size), np.nan, dtype=complex)
+            for ai, name in enumerate(spec.algorithms):
+                try:
+                    weights[ai] = design_algorithm(name, point_ctx, r_hat).w
+                except (NumericalError, np.linalg.LinAlgError):
+                    pass  # the NaN row left in place marks a failed design
+            yield run, gi, point_ctx, weights, rng
+        block = r_hat = None  # free this run's data before the next draw
 
-    samples = [one_run(i) for i in range(spec.runs)]
+
+def _sinr_sweep(ctx: DesignContext, spec, draw: int, grid, points) -> ExperimentResult:
+    """SINR curves over ``grid``, one point per entry of ``points`` (see
+    :func:`_designed`), each design scored against the true covariance."""
+    samples = np.full((spec.runs, len(spec.algorithms), len(points)), np.nan)
+    for run, gi, point_ctx, weights, _ in _designed(ctx, spec, spec.runs, draw, points):
+        for ai, w in enumerate(weights):
+            if np.isfinite(w).all():
+                samples[run, ai, gi] = sinr(w, point_ctx.cov.matrix, point_ctx.steering, point_ctx.xi_t)
     return _aggregate(spec.kind, "sinr_db", spec.algorithms, grid, samples)
 
 
@@ -458,49 +468,36 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
     """
     _require_kind(spec, "pd-vs-snr")
     ctx = _make_context(cfg, target, spec)
-    algorithms, k_train, designs = spec.algorithms, spec.effective_k_train(), spec.designs
     grid = _ascending(spec.snr_grid_db, float)
-    m = cfg.size
-    s = ctx.steering
-    r_total = ctx.cov.matrix
-    per_design = [spec.trials // designs] * designs
+    amp = np.sqrt(cfg.noise_power * 10.0 ** (np.asarray(grid) / 10.0) * cfg.size)
+    per_design = [spec.trials // spec.designs] * spec.designs
     per_design[0] += spec.trials - sum(per_design)
-    amp = np.sqrt(cfg.noise_power * 10.0 ** (np.asarray(grid) / 10.0) * m)
 
-    def one_design(didx: int):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, didx)))
-        block = scene.draw_interference_block(ctx.cov, k_train, rng)
-        r_hat = scene.CovarianceSet.estimate(block, spec.loading)
-        weights, thresholds, gains = [], [], []
-        for name in algorithms:
-            try:
-                w = design_algorithm(name, ctx, r_hat).w
-            except (NumericalError, np.linalg.LinAlgError):
-                w = np.full(m, np.nan, dtype=complex)
-            weights.append(w)
-            thresholds.append(detection_threshold(w, r_total, spec.pfa))
-            gains.append(complex(w.conj() @ s))
-        wmat = np.stack(weights)  # (algs, m)
-        detections = np.zeros((len(algorithms), len(grid)), dtype=np.int64)
-        remaining = per_design[didx]
+    def detections(wmat, rng, trials: int) -> np.ndarray:
+        """Detection counts of each weight row at each SNR over ``trials``
+        target-present draws from ``rng``; NaN for a failed design."""
+        thresholds = np.array([detection_threshold(w, ctx.cov.matrix, spec.pfa) for w in wmat])
+        gains = np.array([complex(w.conj() @ ctx.steering) for w in wmat])
+        counts = np.zeros((len(wmat), len(grid)), dtype=np.int64)
         chunk_size = 8192
-        while remaining > 0:
-            n = min(chunk_size, remaining)
-            remaining -= n
+        for start in range(0, trials, chunk_size):
+            n = min(chunk_size, trials - start)
             noise = scene.draw_interference_block(ctx.cov, n, rng)
             a = linalg.complex_standard_normal(rng, n)
-            g = wmat.conj() @ noise  # (algs, n)
-            target_part = np.asarray(gains)[:, None] * a[None, :]  # (algs, n)
+            g = wmat.conj() @ noise  # (algorithms, n)
+            target_part = gains[:, None] * a[None, :]  # (algorithms, n)
             for gi in range(len(grid)):
                 stat = np.abs(amp[gi] * target_part + g) ** 2
-                detections[:, gi] += (stat > np.asarray(thresholds)[:, None]).sum(axis=1)
-        counts = detections.astype(float)
+                counts[:, gi] += (stat > thresholds[:, None]).sum(axis=1)
+        counts = counts.astype(float)
         # a design that failed, or whose threshold is not finite, is a failure
         counts[~np.isfinite(thresholds)] = np.nan
         return counts
 
-    samples = [one_design(i) for i in range(designs)]
-    return _aggregate(spec.kind, "pd", algorithms, grid, samples, trials=np.asarray(per_design))
+    k_train = spec.effective_k_train()
+    blocks = _designed(ctx, spec, spec.designs, k_train, [(ctx, k_train)])
+    samples = [detections(wmat, rng, per_design[run]) for run, _, _, wmat, rng in blocks]
+    return _aggregate(spec.kind, "pd", spec.algorithms, grid, samples, trials=np.asarray(per_design))
 
 
 def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:

@@ -205,6 +205,7 @@ class TestExperimentSpec:
             ("seed", "[experiment]\nseed = none\n"),
             ("master_seed", "master_seed = -5\n"),
             ("master_seed", "master_seed = 1234\n"),
+            ("trials.*designs", "[experiment]\nkind = pd-vs-snr\ntrials = 3\ndesigns = 20\n"),
         ):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)

@@ -378,6 +378,16 @@ class TestSinrVsSnapshots:
         assert result.failures["optimal"] == 0
         assert result.curves["smi"][0].count == 0
         assert result.curves["optimal"][0].count == 2
+        pd_spec = ExperimentSpec(
+            kind="pd-vs-snr", algorithms=("smi", "optimal"), snr_grid_db=(0.0, 10.0), k_train=8,
+            trials=40, pfa=1e-2, seed=1, designs=4,
+        )
+        pd = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), pd_spec)
+        assert pd.failures == {"smi": 4, "optimal": 0}
+        assert pd.designs == 4
+        assert [p.count for p in pd.curves["smi"]] == [0, 0]
+        assert all(math.isnan(p.value) for p in pd.curves["smi"])
+        assert [p.count for p in pd.curves["optimal"]] == [40, 40]
 
     def test_nan_design_counts_as_failure(self, monkeypatch):
         cfg = noise_only_cfg(num_sensors=2, num_pulses=2)
@@ -407,38 +417,54 @@ class TestSinrVsSnapshots:
     def test_designs_on_one_estimate_per_run_and_k(self, monkeypatch):
         # every (run, K) designs on CovarianceSet.estimate of the first K columns
         # of the run's k_max-column draw, factored and decomposed once; the grid
-        # stops below k_max, so a draw sized to the grid would move every value
+        # stops below k_max, so a draw sized to the grid would move every value;
+        # the Pd sweep designs each block on one estimate of its own draw
         cfg = scene.RadarConfig(
             num_sensors=4, num_pulses=4, cnr_db=30.0,
             jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
         )
         tgt = scene.TargetSpec()
         spec = ExperimentSpec(algorithms=ev.ALGORITHMS, k_max=40, k_grid=(8, 16, 24), runs=2, seed=6)
-        r_hats, factored, decomposed = [], [], []
+        pd_spec = ExperimentSpec(
+            kind="pd-vs-snr", algorithms=ev.ALGORITHMS, snr_grid_db=(0.0, 10.0), k_train=24,
+            trials=30, designs=3, seed=6,
+        )
         real_design, real_cholesky, real_evd = ev.design_algorithm, linalg.cholesky, linalg.eigh_descending
 
-        def recording_design(name, ctx, r_hat):
-            if not any(r_hat is seen for seen in r_hats):
-                r_hats.append(r_hat)
-            return real_design(name, ctx, r_hat)
+        def recorded(runner, run_spec):
+            r_hats, factored, decomposed = [], [], []
 
-        def counting_cholesky(h):
-            factored.append(h)
-            return real_cholesky(h)
+            def recording_design(name, ctx, r_hat):
+                if not any(r_hat is seen for seen in r_hats):
+                    r_hats.append(r_hat)
+                return real_design(name, ctx, r_hat)
 
-        def counting_evd(h):
-            decomposed.append(h)
-            return real_evd(h)
+            def counting_cholesky(h):
+                factored.append(h)
+                return real_cholesky(h)
 
-        monkeypatch.setattr(ev, "design_algorithm", recording_design)
-        monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
-        monkeypatch.setattr(linalg, "eigh_descending", counting_evd)
-        result = ev.run_sinr_vs_snapshots(cfg, tgt, spec)
-        monkeypatch.undo()
+            def counting_evd(h):
+                decomposed.append(h)
+                return real_evd(h)
+
+            monkeypatch.setattr(ev, "design_algorithm", recording_design)
+            monkeypatch.setattr(linalg, "cholesky", counting_cholesky)
+            monkeypatch.setattr(linalg, "eigh_descending", counting_evd)
+            result = runner(cfg, tgt, run_spec)
+            monkeypatch.undo()
+            for r_hat in r_hats:
+                assert sum(h is r_hat.matrix for h in factored) == 1
+                assert sum(h is r_hat.matrix for h in decomposed) == 1
+            return result, r_hats
+
+        result, r_hats = recorded(ev.run_sinr_vs_snapshots, spec)
         assert len(r_hats) == 6
-        for r_hat in r_hats:
-            assert sum(h is r_hat.matrix for h in factored) == 1
-            assert sum(h is r_hat.matrix for h in decomposed) == 1
+        _, pd_r_hats = recorded(ev.run_pd_vs_snr, pd_spec)
+        assert len(pd_r_hats) == 3
+        for block, r_hat in enumerate(pd_r_hats):
+            rng = np.random.default_rng(np.random.SeedSequence((6, block)))
+            drawn = scene.draw_interference_block(scene.total_covariance(cfg), 24, rng)
+            np.testing.assert_array_equal(r_hat.snapshots, drawn)
 
         ctx = ev._make_context(cfg, tgt, spec)
         samples = np.full((2, len(ev.ALGORITHMS), 3), np.nan)
@@ -690,6 +716,42 @@ class TestPdVsSnr:
         cfg, result = small_pd
         again = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), SMALL_PD_SPEC)
         assert [p.value for p in again.curves["smi"]] == [p.value for p in result.curves["smi"]]
+
+    def test_every_algorithm_matches_its_per_block_closed_form(self, small_pd, monkeypatch):
+        # given a block's weight w, the statistic |w^H x|^2 is exponential with
+        # mean amp^2 |w^H s|^2 + w^H R w, so the block detects with probability
+        # pfa^(1/(1+SINR(w))) and a point's expected rate is the trial-weighted
+        # mean of that over the blocks; over seeds 1-20 the worst |z| is 3.3
+        cfg, _ = small_pd
+        tgt = scene.TargetSpec()
+        spec = replace(SMALL_PD_SPEC, algorithms=ev.ALGORITHMS, k_train=12, trials=20_000, designs=5)
+        ctx = ev._make_context(cfg, tgt, spec)
+        weights = []
+        real = ev.design_algorithm
+
+        def recording(name, design_ctx, r_hat):
+            design = real(name, design_ctx, r_hat)
+            weights.append((name, design.w))
+            return design
+
+        monkeypatch.setattr(ev, "design_algorithm", recording)
+        for seed in range(1, 21):
+            weights.clear()
+            result = ev.run_pd_vs_snr(cfg, tgt, replace(spec, seed=seed))
+            assert result.failures == dict.fromkeys(ev.ALGORITHMS, 0)
+            for name in ev.ALGORITHMS:
+                blocks = [w for design, w in weights if design == name]
+                assert len(blocks) == spec.designs
+                for point in result.curves[name]:
+                    xi = cfg.noise_power * 10 ** (point.x / 10.0)
+                    # 4000 trials per block, so the trial weights are equal
+                    expect = np.mean([
+                        ev.pd_analytic(10 ** (ev.sinr(w, ctx.cov.matrix, ctx.steering, xi) / 10.0), spec.pfa)
+                        for w in blocks
+                    ])
+                    se = math.sqrt(expect * (1 - expect) / point.count)
+                    assert point.count == spec.trials
+                    assert abs(point.value - expect) <= 4.5 * se, (seed, name, point.x)
 
 
 class TestEmpiricalFalseAlarm:

@@ -7,7 +7,9 @@ script runs `python -m stapbench.cli` from each on the same studies: the four
 benchmark workloads at full size and seed 13 (config text from
 bench/workloads.py, read only); the small `doppler-m64` study at 2 runs with
 `ka_mode = fixed_alpha` and with `ka_mode = fixed_eta`, the two knowledge-aided
-solve paths that no workload or CLI default runs; and `--experiment KIND
+solve paths that no workload or CLI default runs; the small `detection-m64`
+and `snapshots-m64` studies at `loading = 0` with training sets below M, whose
+failing designs reach the NaN-row path and exit 3; and `--experiment KIND
 --seed 7` for every experiment kind, with `--runs 2` for the two SINR sweeps
 (the other kinds reject the flag). Each run has its own temporary directory.
 The parent runs each study once, at OPENBLAS_NUM_THREADS=1; the change runs
@@ -39,6 +41,8 @@ KINDS = ("sinr-vs-snapshots", "sinr-vs-doppler", "pd-vs-snr", "complexity")
 RUNS_KINDS = KINDS[:2]  # the kinds that take --runs
 THREADS = ("1", "2")
 KA_MODES = ("fixed_alpha", "fixed_eta")
+# small studies whose designs fail: no loading and training sets below M = 16
+FAILING_DESIGNS = {"detection-m64": {"k_train": 8}, "snapshots-m64": {"k_grid": (8, 16, 32, 64)}}
 
 
 def studies():
@@ -49,6 +53,10 @@ def studies():
     for mode in KA_MODES:
         study = replace(doppler, experiment=dict(doppler.experiment, runs=2, ka_mode=mode))
         yield f"doppler-m64 small, ka_mode={mode}", study.config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
+    for name, keys in FAILING_DESIGNS.items():
+        small = workloads.WORKLOADS[name].study(small=True)
+        study = replace(small, experiment=dict(small.experiment, loading=0.0, **keys))
+        yield f"{name} small, loading=0", study.config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
     for kind in KINDS:
         args = [kind, *(["--runs", "2"] if kind in RUNS_KINDS else []), "--seed", "7"]
         yield " ".join(args), None, ["--experiment", *args, "--out", "out"]
