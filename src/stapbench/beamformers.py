@@ -44,7 +44,7 @@ __all__ = [
     "krylov_basis",
     "jio_design",
     "jidf_design",
-    "decimation_indices",
+    "decimation_pattern",
     "sa_mvdr_weights",
     "ka_prior",
     "ka_mvdr_weights",
@@ -239,36 +239,16 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
     return w
 
 
-def decimation_indices(m: int, rank: int, branch: int) -> np.ndarray:
-    """Index pattern for one branch: floor((M/D)(d-1)) + (b-1), clamped to M-1.
-
-    ``branch`` is zero-based here. Duplicate indices after clamping are
-    rejected; callers should reduce the branch count.
-    """
+def decimation_pattern(m: int, rank: int, branches: int) -> np.ndarray:
+    """The (B', D) decimation indices floor((M/D) d) + b, clamped to M-1, of
+    the leading B' <= ``branches`` branches b = 0, 1, ... whose rows repeat no
+    index. A row repeats once its last two indices clamp, and so does every
+    later row, so the kept rows are a prefix."""
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
-    if branch < 0:
-        raise ValueError("branch must be nonnegative")
-    idx = np.floor(m / rank * np.arange(rank)).astype(int) + branch
+    idx = np.floor(m / rank * np.arange(rank)).astype(int) + np.arange(branches)[:, None]
     idx = np.minimum(idx, m - 1)
-    if np.unique(idx).size != idx.size:
-        raise ValueError(
-            f"decimation pattern for branch {branch + 1} has duplicate indices after clamping; "
-            "reduce the number of branches"
-        )
-    return idx
-
-
-def valid_branch_count(m: int, rank: int, requested: int) -> int:
-    """Largest branch count <= requested whose patterns stay duplicate-free."""
-    count = 0
-    for b in range(requested):
-        try:
-            decimation_indices(m, rank, b)
-        except ValueError:
-            break
-        count += 1
-    return count
+    return idx[np.all(np.diff(idx, axis=1) > 0, axis=1)]
 
 
 def _branch_mvdr(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -288,12 +268,14 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
     """Joint interpolation, decimation and filtering design.
 
     Each branch filters the snapshot through a short interpolator v (length
-    ``interp_len``), decimates it onto ``rank`` fixed indices z (branch-
-    specific offsets of one shared pattern), and applies a reduced
-    minimum-variance weight w; its full-length weight carries w_d * conj(v_i)
-    at index z_d + i. Interpolator and weight are refined alternately; the
-    branch with the smallest output power wins. Each half-step ends in the
-    scaling rule of every design, so the returned weight meets w^H s = 1.
+    ``interp_len``), decimates it onto ``rank`` fixed indices z (its row of
+    :func:`decimation_pattern`, built once for all branches), and applies a
+    reduced minimum-variance weight w; its full-length weight carries
+    w_d * conj(v_i) at index z_d + i. Interpolator and weight are refined
+    alternately; the branch with the smallest output power wins. Each
+    half-step ends in the scaling rule of every design, so the returned
+    weight meets w^H s = 1. Raises ValueError when fewer than ``branches``
+    rows of the pattern are duplicate-free.
 
     Like every design, it reads the covariance as given (a sample covariance
     with its loading). That matrix, zero-padded past index M-1, is gathered
@@ -312,7 +294,9 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
         raise ValueError(f"interp_len must be in [1, {m}], got {interp_len}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    z = np.stack([decimation_indices(m, rank, b) for b in range(branches)])  # (B, D)
+    z = decimation_pattern(m, rank, branches)  # (B, D)
+    if len(z) < branches:
+        raise ValueError(f"only {len(z)} of {branches} branches have duplicate-free decimation patterns")
     rows = (z[:, :, None] + np.arange(interp_len)).reshape(branches, rank * interp_len)
     padded = np.zeros((m + interp_len - 1,) * 2, dtype=complex)
     padded[:m, :m] = cov.matrix

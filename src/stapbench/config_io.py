@@ -53,6 +53,8 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if not self.algorithms:
             raise ConfigError("algorithms must be nonempty")
+        if self.kind == "complexity" and set(self.algorithms) == {"optimal"}:
+            raise ConfigError("algorithms must name more than optimal: complexity has no optimal curve")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r} in algorithms list")
@@ -64,8 +66,8 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"trials must be >= designs, got trials {self.trials} < designs {self.designs}")
         if self.k_max < 1:
             raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
-        if self.k_grid is not None and not all(1 <= k <= self.k_max for k in self.k_grid):
-            raise ConfigError(f"k_grid entries must be in [1, k_max={self.k_max}], got {self.k_grid}")
+        if self.k_grid is not None and not (self.k_grid and all(1 <= k <= self.k_max for k in self.k_grid)):
+            raise ConfigError(f"k_grid must be a nonempty list in [1, k_max={self.k_max}], got {self.k_grid}")
         if self.k_train is not None and self.k_train < 1:
             raise ConfigError(f"k_train must be >= 1, got {self.k_train}")
         if not self.snr_grid_db:

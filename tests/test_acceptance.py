@@ -217,7 +217,7 @@ def test_jidf_clairvoyant_sinr():
     ranks, budgets, interp_len = (6, 8, 12, 16, 24, 32), (5, 100), 8
     values = {}
     for rank in ranks:
-        branches = bf.valid_branch_count(CFG.size, rank, 8)
+        branches = len(bf.decimation_pattern(CFG.size, rank, 8))
         for iterations in budgets:
             w = bf.jidf_design(ctx.cov, ctx.steering, branches, interp_len, rank, iterations)
             values[rank, iterations] = ev.sinr(w, ctx.cov.matrix, ctx.steering, ctx.xi_t)

@@ -1,5 +1,6 @@
 """Beamformer design tests: full-rank, reduced-rank, sparse, knowledge-aided."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -314,6 +315,20 @@ def _hpd_solve_reference(mat, rhs):
     return x
 
 
+def _decimation_reference(m, rank, branches):
+    """Branch by branch, floor((M/D) d) + b clamped to M-1, for d = 0..D-1,
+    up to the first branch whose indices repeat. The product is taken in
+    floating point, as the design takes it: at some (M, D), e.g. M = 30 and
+    D = 22, it floors one below the exact integer quotient."""
+    rows = []
+    for b in range(branches):
+        row = [min(math.floor(m / rank * d) + b, m - 1) for d in range(rank)]
+        if len(set(row)) < rank:
+            break
+        rows.append(row)
+    return np.array(rows, dtype=int)
+
+
 def _jidf_block_reference(block, s, branches, interp_len, rank, iterations):
     """The branch scheme on the raw (M, K) training block: every branch in
     turn gathers its (D, I, K) snapshot windows and forms its statistics as
@@ -321,8 +336,7 @@ def _jidf_block_reference(block, s, branches, interp_len, rank, iterations):
     m, k = block.shape
     padded_s = np.concatenate([s, np.zeros(interp_len - 1, dtype=complex)])
     best = None
-    for b in range(branches):
-        z = bf.decimation_indices(m, rank, b)
+    for z in _decimation_reference(m, rank, branches):
         rows = z[:, None] + np.arange(interp_len)[None, :]  # (D, I)
         windows = block[np.minimum(rows, m - 1)]  # (D, I, K), zero past row M-1
         windows[rows >= m] = 0.0
@@ -356,25 +370,33 @@ def _jidf_block_reference(block, s, branches, interp_len, rank, iterations):
 
 class TestJidf:
     def test_pattern_m4_d2(self):
-        np.testing.assert_array_equal(bf.decimation_indices(4, 2, 0), [0, 2])
-        np.testing.assert_array_equal(bf.decimation_indices(4, 2, 1), [1, 3])
+        np.testing.assert_array_equal(bf.decimation_pattern(4, 2, 2), [[0, 2], [1, 3]])
 
     def test_pattern_m64_d6(self):
-        np.testing.assert_array_equal(
-            bf.decimation_indices(64, 6, 0), [0, 10, 21, 32, 42, 53]
-        )
+        np.testing.assert_array_equal(bf.decimation_pattern(64, 6, 1), [[0, 10, 21, 32, 42, 53]])
 
     def test_duplicate_after_clamping_rejected(self):
         # M=4, D=4: stride one, so already at the edge for the second branch
+        assert len(bf.decimation_pattern(4, 4, 2)) == 1
+        rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="branch"):
-            bf.decimation_indices(4, 4, 1)
+            bf.jidf_design(random_hpd(rng, 4), random_steering(rng, 4), 2, 1, 4, 1)
 
     def test_valid_branch_count(self):
-        assert bf.valid_branch_count(4, 4, 8) == 1
-        assert bf.valid_branch_count(64, 6, 8) == 8
+        assert len(bf.decimation_pattern(4, 4, 8)) == 1
+        assert len(bf.decimation_pattern(64, 6, 8)) == 8
         # stride 2: offsets 0..2 stay duplicate-free (branch 2 clamps 8 -> 7),
         # offset 3 collides
-        assert bf.valid_branch_count(8, 4, 8) == 3
+        assert len(bf.decimation_pattern(8, 4, 8)) == 3
+
+    def test_pattern_matches_per_branch_reference(self):
+        for m in range(1, 71):
+            for rank in range(1, m + 1):
+                ref = _decimation_reference(m, rank, 12)
+                for branches in (1, 2, 3, 5, 8, 12):
+                    pattern = bf.decimation_pattern(m, rank, branches)
+                    assert pattern.dtype == ref.dtype, (m, rank, branches)
+                    np.testing.assert_array_equal(pattern, ref[:branches], err_msg=f"{(m, rank, branches)}")
 
     @pytest.mark.parametrize("sensors", (4, 8))
     @pytest.mark.parametrize("k_ratio", (0.5, 2.0))
@@ -476,7 +498,7 @@ class TestJidf:
         w = bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 4, 8, 6, 3)
         matches = []
         for b in range(4):
-            rows = bf.decimation_indices(64, 6, b)[:, None] + np.arange(8)[None, :]
+            rows = _decimation_reference(64, 6, 4)[b][:, None] + np.arange(8)[None, :]
             outside = np.ones(64, dtype=bool)
             outside[rows.ravel()] = False
             if np.all(w[outside] == 0.0):

@@ -206,6 +206,9 @@ class TestExperimentSpec:
             ("master_seed", "master_seed = -5\n"),
             ("master_seed", "master_seed = 1234\n"),
             ("trials.*designs", "[experiment]\nkind = pd-vs-snr\ntrials = 3\ndesigns = 20\n"),
+            ("k_grid", "[experiment]\nk_max = 16\nk_grid =\n"),
+            ("algorithms", "[experiment]\nkind = complexity\nalgorithms = optimal\n"),
+            ("algorithms", "[experiment]\nkind = complexity\nalgorithms = optimal, optimal\n"),
         ):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)

@@ -137,7 +137,7 @@ class TestDesignTable:
             "lr-krylov": dict(d=ev.adaptive_rank(40, 16)),
             "lr-jio": dict(d=p.rank, iterations=p.iterations),
             "lr-jidf": dict(
-                d=p.rank, b=bf.valid_branch_count(16, p.rank, p.branches),
+                d=p.rank, b=len(bf.decimation_pattern(16, p.rank, p.branches)),
                 i_len=p.interp_len, iterations=p.iterations,
             ),
             "sa-mvdr": dict(iterations=p.iterations),
@@ -161,6 +161,23 @@ class TestDesignTable:
             )
         assert designs[1].multiplication_count != designs[3].multiplication_count
         assert np.abs(designs[1].w - designs[3].w).max() > 1e-6
+
+    def test_lr_jidf_builds_its_decimation_pattern_at_most_twice(self, small_design_context, monkeypatch):
+        # once for the usable branch count and once inside jidf_design; at
+        # M = 16 and D = 6 only 5 of the 8 requested branches are usable
+        ctx, r_hat = small_design_context
+        shapes = []
+        real_pattern = bf.decimation_pattern
+
+        def recording_pattern(m, rank, branches):
+            pattern = real_pattern(m, rank, branches)
+            shapes.append(pattern.shape)
+            return pattern
+
+        monkeypatch.setattr(bf, "decimation_pattern", recording_pattern)
+        ev.design_algorithm("lr-jidf", ctx, r_hat)
+        assert 1 <= len(shapes) <= 2
+        assert shapes[-1] == (5, 6)
 
     @pytest.mark.parametrize("k", (8, 40))
     def test_sa_mvdr_designs_at_the_configured_penalty(self, k, monkeypatch):
@@ -515,7 +532,7 @@ class TestReducedRankLossLaw:
         m, runs = cfg.size, 400
         rng = np.random.default_rng(1)
         fixed, _ = np.linalg.qr(rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d)))
-        decimated = np.eye(m)[:, bf.decimation_indices(m, d, 0)]
+        decimated = np.eye(m)[:, bf.decimation_pattern(m, d, 1)[0]]
 
         def share(w, basis):
             r_d, s_d = basis.conj().T @ cov.matrix @ basis, basis.conj().T @ s

@@ -9,9 +9,12 @@ bench/workloads.py, read only); the small `doppler-m64` study at 2 runs with
 `ka_mode = fixed_alpha` and with `ka_mode = fixed_eta`, the two knowledge-aided
 solve paths that no workload or CLI default runs; the small `detection-m64`
 and `snapshots-m64` studies at `loading = 0` with training sets below M, whose
-failing designs reach the NaN-row path and exit 3; and `--experiment KIND
---seed 7` for every experiment kind, with `--runs 2` for the two SINR sweeps
-(the other kinds reject the flag). Each run has its own temporary directory.
+failing designs reach the NaN-row path and exit 3; the small `snapshots-m64`
+study at `rank = 12` and at `rank = 16`, where `lr-jidf` keeps 2 of its 8
+branches and then 1, whose interpolator taps reach past the array; and
+`--experiment KIND --seed 7` for every experiment kind, with `--runs 2` for
+the two SINR sweeps (the other kinds reject the flag). Each run has its own
+temporary directory.
 The parent runs each study once, at OPENBLAS_NUM_THREADS=1; the change runs
 it at =1 and =2, and both of its runs must write the parent's bytes. It
 compares every output file, stdout, stderr and the exit status byte for byte,
@@ -40,23 +43,29 @@ BENCH_SEED = 13
 KINDS = ("sinr-vs-snapshots", "sinr-vs-doppler", "pd-vs-snr", "complexity")
 RUNS_KINDS = KINDS[:2]  # the kinds that take --runs
 THREADS = ("1", "2")
-KA_MODES = ("fixed_alpha", "fixed_eta")
-# small studies whose designs fail: no loading and training sets below M = 16
-FAILING_DESIGNS = {"detection-m64": {"k_train": 8}, "snapshots-m64": {"k_grid": (8, 16, 32, 64)}}
+# small studies and the keys each one changes: the two knowledge-aided solve
+# paths that no workload or CLI default runs; designs that fail (no loading,
+# training sets below M = 16); ranks at which M = 16 leaves lr-jidf 2 usable
+# branches, and 1
+SMALL_STUDIES = (
+    ("doppler-m64", {"runs": 2, "ka_mode": "fixed_alpha"}),
+    ("doppler-m64", {"runs": 2, "ka_mode": "fixed_eta"}),
+    ("detection-m64", {"loading": 0.0, "k_train": 8}),
+    ("snapshots-m64", {"loading": 0.0, "k_grid": (8, 16, 32, 64)}),
+    ("snapshots-m64", {"rank": 12}),
+    ("snapshots-m64", {"rank": 16}),
+)
 
 
 def studies():
     """(name, config text or None, CLI arguments) of every study compared."""
     for name, workload in workloads.WORKLOADS.items():
         yield name, workload.study(small=False).config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
-    doppler = workloads.WORKLOADS["doppler-m64"].study(small=True)
-    for mode in KA_MODES:
-        study = replace(doppler, experiment=dict(doppler.experiment, runs=2, ka_mode=mode))
-        yield f"doppler-m64 small, ka_mode={mode}", study.config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
-    for name, keys in FAILING_DESIGNS.items():
+    for name, keys in SMALL_STUDIES:
         small = workloads.WORKLOADS[name].study(small=True)
-        study = replace(small, experiment=dict(small.experiment, loading=0.0, **keys))
-        yield f"{name} small, loading=0", study.config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
+        study = replace(small, experiment=dict(small.experiment, **keys))
+        label = f"{name} small, " + ", ".join(f"{key}={value}" for key, value in keys.items())
+        yield label, study.config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
     for kind in KINDS:
         args = [kind, *(["--runs", "2"] if kind in RUNS_KINDS else []), "--seed", "7"]
         yield " ".join(args), None, ["--experiment", *args, "--out", "out"]
