@@ -240,13 +240,14 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
 
 
 def decimation_pattern(m: int, rank: int, branches: int) -> np.ndarray:
-    """The (B', D) decimation indices floor((M/D) d) + b, clamped to M-1, of
+    """The (B', D) decimation indices floor(M d / D) + b, clamped to M-1, of
     the leading B' <= ``branches`` branches b = 0, 1, ... whose rows repeat no
-    index. A row repeats once its last two indices clamp, and so does every
-    later row, so the kept rows are a prefix."""
+    index. The quotient is taken in integers, so it is exact at every (M, D).
+    A row repeats once its last two indices clamp, and so does every later
+    row, so the kept rows are a prefix."""
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
-    idx = np.floor(m / rank * np.arange(rank)).astype(int) + np.arange(branches)[:, None]
+    idx = (m * np.arange(rank)) // rank + np.arange(branches)[:, None]
     idx = np.minimum(idx, m - 1)
     return idx[np.all(np.diff(idx, axis=1) > 0, axis=1)]
 

@@ -465,10 +465,16 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
 
     ``trials`` are split over ``designs`` independent design blocks; each block
     trains every algorithm once on target-free data, then scores shared
-    target-present draws across the whole SNR grid (the draw is SNR- and
+    target-present trials across the whole SNR grid (the draw is SNR- and
     algorithm-independent, only the deterministic amplitude scales).
     Thresholds use the exact target-free output power from the true
     covariance, so the detection statistic isolates filter quality.
+
+    No snapshot is drawn for a trial: under Gaussian interference the outputs
+    g = W^H x of a block's A weights (the columns of W) are jointly
+    CN(0, W^H R W), so a trial draws g from that A x A law, through its
+    principal square root, and one circular Gaussian target amplitude. A
+    failed design's weight is zeroed for the draw and its counts are NaN.
     """
     _require_kind(spec, "pd-vs-snr")
     ctx = _make_context(cfg, target, spec)
@@ -479,23 +485,26 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
 
     def detections(wmat, rng, trials: int) -> np.ndarray:
         """Detection counts of each weight row at each SNR over ``trials``
-        target-present draws from ``rng``; NaN for a failed design."""
-        thresholds = np.array([detection_threshold(w, ctx.cov.matrix, spec.pfa) for w in wmat])
-        gains = np.array([complex(w.conj() @ ctx.steering) for w in wmat])
-        counts = np.zeros((len(wmat), len(grid)), dtype=np.int64)
+        target-present trials from ``rng``; NaN for a failed design."""
+        ok = np.isfinite(wmat).all(axis=1)
+        w = np.where(ok[:, None], wmat, 0)
+        outputs = scene.CovarianceSet(w.conj() @ ctx.cov.matrix @ w.T)
+        thresholds = outputs.matrix.diagonal().real * math.log(1.0 / spec.pfa)
+        gains = w.conj() @ ctx.steering
+        counts = np.zeros((len(w), len(grid)), dtype=np.int64)
         chunk_size = 8192
         for start in range(0, trials, chunk_size):
             n = min(chunk_size, trials - start)
-            noise = scene.draw_interference_block(ctx.cov, n, rng)
-            a = linalg.complex_standard_normal(rng, n)
-            g = wmat.conj() @ noise  # (algorithms, n)
-            target_part = gains[:, None] * a[None, :]  # (algorithms, n)
-            for gi in range(len(grid)):
-                stat = np.abs(amp[gi] * target_part + g) ** 2
-                counts[:, gi] += (stat > thresholds[:, None]).sum(axis=1)
+            g = scene.draw_interference_block(outputs, n, rng)  # (algorithms, n)
+            t = gains[:, None] * linalg.complex_standard_normal(rng, n)  # target output at unit amplitude
+            # |amp t + g|^2 > threshold, as a quadratic in amp
+            quadratic = t.real**2 + t.imag**2
+            linear = 2.0 * (t.real * g.real + t.imag * g.imag)
+            constant = g.real**2 + g.imag**2 - thresholds[:, None]
+            for gi, a in enumerate(amp):
+                counts[:, gi] += (a * a * quadratic + a * linear + constant > 0).sum(axis=1)
         counts = counts.astype(float)
-        # a design that failed, or whose threshold is not finite, is a failure
-        counts[~np.isfinite(thresholds)] = np.nan
+        counts[~ok] = np.nan  # a failed design
         return counts
 
     k_train = spec.effective_k_train()
@@ -508,14 +517,15 @@ def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec)
     """Multiplication counts over ``m_grid`` for every algorithm but the
     clairvoyant ``optimal`` bound, with the training set scaled to the problem
     (K = M), which keeps the covariance-formation term commensurate with the
-    solve terms across the grid. The scene and the target are not used.
+    solve terms across the grid. ``lr-jidf`` is charged for the branches its
+    design runs at each M, those whose decimation pattern repeats no index.
+    The scene and the target are not used.
     """
     _require_kind(spec, "complexity")
-    sizes = dict(d=spec.rank, b=spec.branches, i_len=spec.interp_len, iterations=spec.iterations)
-    grid = _ascending(spec.m_grid, int)
-    curves = {
-        name: [CurvePoint(m, multiplication_count(name, m, **sizes), 0.0, 1) for m in grid]
-        for name in spec.algorithms
-        if name != "optimal"
-    }
+    sizes = dict(d=spec.rank, i_len=spec.interp_len, iterations=spec.iterations)
+    curves = {name: [] for name in spec.algorithms if name != "optimal"}
+    for m in _ascending(spec.m_grid, int):
+        b = len(bf.decimation_pattern(m, min(spec.rank, m), spec.branches))
+        for name, points in curves.items():
+            points.append(CurvePoint(m, multiplication_count(name, m, b=b, **sizes), 0.0, 1))
     return ExperimentResult(spec.kind, "multiplications", curves)

@@ -310,7 +310,10 @@ def total_covariance(cfg: RadarConfig) -> CovarianceSet:
 
 
 def draw_interference_block(cov: CovarianceSet, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(M, count) block of target-absent snapshots (columns i.i.d.)."""
+    """(N, count) block of i.i.d. CN(0, cov) columns, N = ``cov.size``: target-absent
+    snapshots of the scene, or any other Gaussian law such as a set of
+    detector outputs. Each column is the principal square root of ``cov``
+    times a standard normal column, so a rank-deficient ``cov`` is drawn too."""
     z = linalg.complex_standard_normal(rng, (cov.size, count))
     return cov.sampling_factor() @ z
 

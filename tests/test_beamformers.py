@@ -1,6 +1,5 @@
 """Beamformer design tests: full-rank, reduced-rank, sparse, knowledge-aided."""
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -316,13 +315,11 @@ def _hpd_solve_reference(mat, rhs):
 
 
 def _decimation_reference(m, rank, branches):
-    """Branch by branch, floor((M/D) d) + b clamped to M-1, for d = 0..D-1,
-    up to the first branch whose indices repeat. The product is taken in
-    floating point, as the design takes it: at some (M, D), e.g. M = 30 and
-    D = 22, it floors one below the exact integer quotient."""
+    """Branch by branch, floor(M d / D) + b clamped to M-1, for d = 0..D-1,
+    up to the first branch whose indices repeat."""
     rows = []
     for b in range(branches):
-        row = [min(math.floor(m / rank * d) + b, m - 1) for d in range(rank)]
+        row = [min(m * d // rank + b, m - 1) for d in range(rank)]
         if len(set(row)) < rank:
             break
         rows.append(row)
@@ -388,6 +385,14 @@ class TestJidf:
         # stride 2: offsets 0..2 stay duplicate-free (branch 2 clamps 8 -> 7),
         # offset 3 collides
         assert len(bf.decimation_pattern(8, 4, 8)) == 3
+
+    def test_first_row_is_the_exact_quotient(self):
+        # a floating-point M/D * d floors one below floor(M d / D) at 880 of
+        # these (M, D), e.g. M = 30, D = 22, d = 11 (14 against 15)
+        for m in range(1, 300):
+            for rank in range(1, m + 1):
+                expect = [m * d // rank for d in range(rank)]
+                assert bf.decimation_pattern(m, rank, 1)[0].tolist() == expect, (m, rank)
 
     def test_pattern_matches_per_branch_reference(self):
         for m in range(1, 71):

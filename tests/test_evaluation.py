@@ -734,6 +734,35 @@ class TestPdVsSnr:
         again = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), SMALL_PD_SPEC)
         assert [p.value for p in again.curves["smi"]] == [p.value for p in result.curves["smi"]]
 
+    def test_algorithms_of_a_block_share_every_trial(self, small_pd, monkeypatch):
+        # at evd_rank = M = 6, lr-evd is smi, so a draw shared by the algorithms
+        # of a block gives the two identical counts, while independent draws
+        # differ by binomial noise; optimal differs from smi by 21,049 counts
+        # summed over the grid, so the rows are not one draw copied
+        cfg, _ = small_pd
+        spec = replace(SMALL_PD_SPEC, algorithms=("smi", "lr-evd", "optimal"), evd_rank=6)
+        result = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), spec)
+        counts = {
+            name: np.array([round(p.value * p.count) for p in points]) for name, points in result.curves.items()
+        }
+        np.testing.assert_array_equal(counts["lr-evd"], counts["smi"])
+        assert np.abs(counts["optimal"] - counts["smi"]).sum() > 100
+        real = ev.design_algorithm
+        calls = []
+
+        def fails_in_the_first_block(name, ctx, r_hat):
+            calls.append(name)
+            if name == "lr-evd" and calls.count(name) == 1:
+                raise NumericalError("injected failure")
+            return real(name, ctx, r_hat)
+
+        monkeypatch.setattr(ev, "design_algorithm", fails_in_the_first_block)
+        failed = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), spec)
+        assert failed.failures == {"smi": 0, "lr-evd": 1, "optimal": 0}
+        # the first block's lr-evd row is NaN: its 10,000 trials leave the pool
+        assert {p.count for p in failed.curves["lr-evd"]} == {spec.trials - spec.trials // spec.designs}
+        assert {p.count for p in failed.curves["smi"]} == {spec.trials}
+
     def test_every_algorithm_matches_its_per_block_closed_form(self, small_pd, monkeypatch):
         # given a block's weight w, the statistic |w^H x|^2 is exponential with
         # mean amp^2 |w^H s|^2 + w^H R w, so the block detects with probability
@@ -812,6 +841,14 @@ class TestComplexitySweep:
             for slow in ("smi", "lr-evd", "sa-mvdr", "ka-mvdr"):
                 for cheap, costly in zip(by_alg[fast], by_alg[slow]):
                     assert cheap < costly, (fast, slow)
+
+    def test_lr_jidf_is_charged_for_its_usable_branches(self):
+        # at M = 64, D = 32 only 3 of the 8 branch patterns repeat no index,
+        # and the design runs those 3: 3 * 5 * (64*8 + 32*64 + 32^3 + 8^3)
+        spec = ExperimentSpec(kind="complexity", algorithms=("lr-jidf",), m_grid=(64,), rank=32)
+        result = ev.run_complexity_sweep(scene.RadarConfig(), scene.TargetSpec(), spec)
+        assert len(bf.decimation_pattern(64, 32, 8)) == 3
+        assert result.curves["lr-jidf"][0].value == 537_600
 
     def test_smi_scaling_is_cubic(self):
         result = complexity_sweep(("smi",), m_grid=(256, 512, 1024, 2048))

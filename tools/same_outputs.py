@@ -9,9 +9,12 @@ bench/workloads.py, read only); the small `doppler-m64` study at 2 runs with
 `ka_mode = fixed_alpha` and with `ka_mode = fixed_eta`, the two knowledge-aided
 solve paths that no workload or CLI default runs; the small `detection-m64`
 and `snapshots-m64` studies at `loading = 0` with training sets below M, whose
-failing designs reach the NaN-row path and exit 3; the small `snapshots-m64`
-study at `rank = 12` and at `rank = 16`, where `lr-jidf` keeps 2 of its 8
-branches and then 1, whose interpolator taps reach past the array; and
+failing designs reach the NaN-row path and exit 3; the small `detection-m64`
+study with all eight algorithms, whose detector outputs are drawn from an 8x8
+law with near-identical rows (`ka-mvdr` is close to `smi`); the small
+`snapshots-m64` study at `rank = 12` and at `rank = 16`, where `lr-jidf`
+keeps 2 of its 8 branches and then 1, whose interpolator taps reach past the
+array; and
 `--experiment KIND --seed 7` for every experiment kind, with `--runs 2` for
 the two SINR sweeps (the other kinds reject the flag). Each run has its own
 temporary directory.
@@ -45,12 +48,13 @@ RUNS_KINDS = KINDS[:2]  # the kinds that take --runs
 THREADS = ("1", "2")
 # small studies and the keys each one changes: the two knowledge-aided solve
 # paths that no workload or CLI default runs; designs that fail (no loading,
-# training sets below M = 16); ranks at which M = 16 leaves lr-jidf 2 usable
-# branches, and 1
+# training sets below M = 16); every algorithm's detector output in one
+# joint draw; ranks at which M = 16 leaves lr-jidf 2 usable branches, and 1
 SMALL_STUDIES = (
     ("doppler-m64", {"runs": 2, "ka_mode": "fixed_alpha"}),
     ("doppler-m64", {"runs": 2, "ka_mode": "fixed_eta"}),
     ("detection-m64", {"loading": 0.0, "k_train": 8}),
+    ("detection-m64", {"algorithms": workloads.ALL_ALGORITHMS}),
     ("snapshots-m64", {"loading": 0.0, "k_grid": (8, 16, 32, 64)}),
     ("snapshots-m64", {"rank": 12}),
     ("snapshots-m64", {"rank": 16}),
