@@ -1,8 +1,12 @@
 """Space-time beamformer designs behind one interface.
 
 Every design takes a covariance (true or estimated) and a unit-energy
-steering vector and returns the full-length weight vector as an array, which
-satisfies the distortionless constraint w^H s = 1. The covariance is either
+steering vector, or an (M, N) stack of N of them as columns, and returns the
+full-length weight in the same shape, each column designed for its own
+steering vector and meeting the distortionless constraint w^H s = 1. A stack
+shares the steering-independent work of its columns: a factor solves all N
+at once, and batched products carry the columns as a leading axis, each
+column computed as its own vector would be. The covariance is either
 an array, which the design validates once on entry and wraps, or a
 :class:`scene.CovarianceSet`, which passes through. One rule solves: a
 ``CovarianceSet`` (sample, true or prior covariance) through its own
@@ -14,7 +18,8 @@ forms itself, Hermitian by construction, through the unchecked
 Every design ends in one scaling step (``_distortionless``): a direction x
 becomes x / (s^H x), and the design raises ``NumericalError`` when
 Re(s^H x) <= 0, since then x has no usable response to s. JIDF applies it
-to all its branches at once.
+to all its branches at once, and a stack to all its columns: a design fails
+when any column does.
 
 Families implemented:
 
@@ -51,6 +56,27 @@ __all__ = [
 ]
 
 
+def _rows(s) -> np.ndarray:
+    """A steering vector (M,) or an (M, N) stack as contiguous (N, M) rows, N = 1 for a vector."""
+    s = np.asarray(s, dtype=complex)
+    return np.ascontiguousarray(s.reshape(s.shape[0], -1).T)
+
+
+def _columns(w: np.ndarray, s) -> np.ndarray:
+    """(N, M) weight rows in the shape of the steering input ``s``."""
+    return w.T.reshape(np.shape(s))
+
+
+def _form(a: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a^H h b) for each row pair of two (..., M) stacks."""
+    return ((a.conj()[..., None, :] @ h) @ b[..., None])[..., 0, 0].real
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of an (..., M) stack, bit for bit ``np.linalg.norm`` of the row."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
 def _distortionless(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``x`` scaled to s^H x = 1 along its last axis, for one vector or a
     stack; raises NumericalError unless every Re(s^H x) > 0."""
@@ -61,9 +87,10 @@ def _distortionless(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def mvdr_weights(r, s) -> np.ndarray:
-    """Minimum-variance distortionless weights w = R^-1 s / (s^H R^-1 s)."""
-    s = np.asarray(s, dtype=complex)
-    return _distortionless(s, scene.CovarianceSet.of(r).solve(s))
+    """Minimum-variance distortionless weights w = R^-1 s / (s^H R^-1 s), for a
+    steering vector or an (M, N) stack, all N solved in one call."""
+    rows = _rows(s)
+    return _columns(_distortionless(rows, scene.CovarianceSet.of(r).solve(rows.T).T), s)
 
 
 def _plus_diagonal(a: np.ndarray, d) -> np.ndarray:
@@ -77,36 +104,50 @@ def lr_mvdr_weights(basis: np.ndarray, r, s) -> np.ndarray:
     """Reduced-rank minimum-variance weights through an (M, D) rank-reduction basis.
 
     Solves the minimum-variance problem inside span(basis) and returns the
-    full-length weight. Raises NumericalError when the projected covariance
-    is rank-deficient.
+    full-length weight. For an (M, N) steering stack, ``basis`` is one (M, D)
+    basis for every column or an (N, M, D) stack of them, and each column's
+    D x D system is solved on its own. Raises NumericalError when a
+    projected covariance is rank-deficient.
     """
-    r = scene.CovarianceSet.of(r).matrix
-    rd = basis.conj().T @ r @ basis
-    rd = 0.5 * (rd + rd.conj().T)
-    sd = basis.conj().T @ np.asarray(s, dtype=complex)
+    return _columns(_reduced_mvdr(basis, scene.CovarianceSet.of(r).matrix, _rows(s)), s)
+
+
+def _reduced_mvdr(basis: np.ndarray, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`lr_mvdr_weights` on a covariance matrix and (N, M) steering rows,
+    as (N, M) weight rows. One shared basis makes one D x D system, solved
+    for all N rows in one call; a stack of bases, one system per row."""
+    bh = basis.conj().swapaxes(-1, -2)
+    rd = bh @ r @ basis
+    rd = 0.5 * (rd + rd.conj().swapaxes(-1, -2))
+    sd = (bh @ rows[..., None])[..., 0]
     try:
-        x = linalg.hpd_solve(rd, sd)
+        if rd.ndim == 2:
+            x = linalg.hpd_solve(rd, sd.T).T
+        else:
+            x = np.stack([linalg.hpd_solve(h, b) for h, b in zip(rd, sd)])
     except NumericalError as exc:
         raise NumericalError(f"projected covariance is rank-deficient: {exc}") from exc
-    return basis @ _distortionless(sd, x)
+    return (basis @ _distortionless(sd, x)[..., None])[..., 0]
 
 
-def _steering_aligned(values: np.ndarray, vectors: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``vectors`` with each cluster of equal eigenvalues (consecutive gaps of
-    at most 1e-10 of the largest) rotated so that its first vector is s
-    projected onto the cluster and the rest are orthogonal to s. LAPACK may
-    return any basis of such a cluster, and which one moves with the LAPACK
-    build; the rotated one does not. Rotates a copy: the cached EVD serves
-    every steering vector."""
+def _steering_aligned(values: np.ndarray, vectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``vectors``, for each (N, M) steering row s, with each cluster of equal
+    eigenvalues (consecutive gaps of at most 1e-10 of the largest) rotated so
+    that its first vector is s projected onto the cluster and the rest are
+    orthogonal to s: an (N, M, M) stack, or ``vectors`` itself when no
+    eigenvalue repeats. LAPACK may return any basis of such a cluster, and
+    which one moves with the LAPACK build; the rotated one does not. Rotates
+    copies: the cached EVD serves every steering vector."""
     ends = np.flatnonzero(np.abs(np.diff(values)) > 1e-10 * np.abs(values).max()) + 1
     clusters = [(a, b) for a, b in zip(np.r_[0, ends], np.r_[ends, values.size]) if b - a > 1]
     if not clusters:
         return vectors
-    vectors = vectors.copy()
+    vectors = np.repeat(vectors[None], len(rows), axis=0)
     for a, b in clusters:
-        cluster = vectors[:, a:b]
-        rotation, _ = np.linalg.qr(np.column_stack([cluster.conj().T @ s, np.eye(b - a)]))
-        vectors[:, a:b] = cluster @ rotation
+        cluster = vectors[..., a:b]
+        start = np.broadcast_to(np.eye(b - a), (len(rows), b - a, b - a))
+        rotation, _ = np.linalg.qr(np.concatenate([cluster.conj().swapaxes(-1, -2) @ rows[..., None], start], axis=-1))
+        vectors[..., a:b] = cluster @ rotation
     return vectors
 
 
@@ -118,35 +159,39 @@ def evd_basis(r, s, rank: int, selection: str) -> np.ndarray:
     output SINR, and keeps the best ``rank``. Inside a repeated eigenvalue,
     whose basis LAPACK picks differently in each build, the eigenvectors are
     first aligned with s (:func:`_steering_aligned`), so the weight does not
-    depend on that choice. Returns the (M, rank) basis.
+    depend on that choice. Returns the (M, rank) basis, or for an (M, N)
+    steering stack the (N, M, rank) stack of each column's basis.
     """
-    s = np.asarray(s, dtype=complex)
+    rows = _rows(s)
     values, vectors = scene.CovarianceSet.of(r).evd()
     m = values.size
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
-    vectors = _steering_aligned(values, vectors, s)
+    vectors = _steering_aligned(values, vectors, rows)
     if selection == "pc":
-        chosen = range(rank)
+        order = np.broadcast_to(np.arange(m), (len(rows), m))
     elif selection == "csm":
         floor = 1e-15 * max(float(np.abs(values).max()), 1.0)
-        # one dot product per eigenvector: a single vectorized V^H s rounds
-        # differently, which can reorder near-tied metrics
-        metric = [abs(vectors[:, i].conj() @ s) ** 2 / max(values[i], floor) for i in range(m)]
-        chosen = sorted(range(m), key=lambda i: -metric[i])[:rank]
+        # one dot product per eigenvector and row: a single V^H S product
+        # rounds differently, which can reorder near-tied metrics
+        dots = (np.ascontiguousarray(vectors.conj().swapaxes(-1, -2))[..., None, :] @ rows[:, None, :, None])[..., 0, 0]
+        metric = np.hypot(dots.real, dots.imag) ** 2 / np.maximum(values, floor)
+        order = np.argsort(-metric, axis=-1, kind="stable")
     else:
         raise ValueError(f"unknown eigenvector selection {selection!r}")
-    return np.column_stack([vectors[:, i] for i in chosen])
+    basis = np.take_along_axis(np.broadcast_to(vectors, (len(rows), m, m)), order[:, None, :rank], axis=-1)
+    return basis.reshape(np.shape(s)[1:] + (m, rank))
 
 
-def _cgs2(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _cgs2(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove span(basis) from ``v`` by classical Gram-Schmidt applied twice
     (CGS2: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005), which
-    keeps the columns orthonormal to working precision. ``basis`` has
-    orthonormal columns; returns the remainder and its norm."""
+    keeps the columns orthonormal to working precision, for each row of an
+    (N, M) stack ``v`` against its own (N, M, c) ``basis`` of orthonormal
+    columns; returns the remainders and their norms."""
     for _pass in range(2):
-        v = v - basis @ (v.conj() @ basis).conj()
-    return v, float(np.linalg.norm(v))
+        v = v - (basis @ (v.conj()[..., None, :] @ basis).conj().swapaxes(-1, -2))[..., 0]
+    return v, _norm(v)
 
 
 def krylov_basis(r, s, rank: int) -> np.ndarray:
@@ -154,42 +199,57 @@ def krylov_basis(r, s, rank: int) -> np.ndarray:
 
     The raw chain is numerically collinear for realistic spectra, so columns
     are orthonormalized (CGS2) as they are generated; the span is unchanged.
-    Returns the (M, D) basis, with D < ``rank`` if the chain stagnates.
+    Returns the (M, D) basis, with D < ``rank`` if the chain stagnates. For an
+    (M, N) steering stack the N chains grow in lockstep into an (N, M, D)
+    stack; chains that stagnate at different lengths raise NumericalError,
+    so such columns are designed one at a time.
     """
     r = scene.CovarianceSet.of(r).matrix
-    s = np.asarray(s, dtype=complex)
-    m = s.size
+    rows = _rows(s)
+    m = rows.shape[1]
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
-    q = np.empty((m, rank), dtype=complex)
-    q[:, 0] = s / np.linalg.norm(s)
+    q = np.empty(rows.shape + (rank,), dtype=complex)
+    q[..., 0] = rows / _norm(rows)[:, None]
     count = 1
     while count < rank:
-        v = r @ q[:, count - 1]
-        scale = np.linalg.norm(v)
-        v, residual = _cgs2(q[:, :count], v)
-        if residual < 1e-10 * max(scale, 1e-300):
+        v = (r @ q[..., count - 1, None])[..., 0]
+        scale = _norm(v)
+        v, residual = _cgs2(q[..., :count], v)
+        stalled = residual < 1e-10 * np.maximum(scale, 1e-300)
+        if stalled.any():
+            if not stalled.all():
+                raise NumericalError("the Krylov chains of the stack stagnate at different lengths")
             break
-        q[:, count] = v / residual
+        q[..., count] = v / residual[:, None]
         count += 1
-    return q[:, :count]
+    return q[..., :count].reshape(np.shape(s)[1:] + (m, count))
 
 
 def _orthonormal_from(pool: list[np.ndarray], rank: int) -> np.ndarray:
-    """First ``rank`` independent directions from ``pool``, orthonormalized (CGS2)."""
-    q = np.empty((pool[0].size, rank), dtype=complex)
-    count = 0
+    """For each row of the (N, M) stacks in ``pool`` (an (M,) entry serves every
+    row), its first ``rank`` independent directions, orthonormalized (CGS2):
+    an (N, M, D) stack. Each row keeps its own count of the candidates it
+    took; D is the largest count, and a row with fewer has zero columns."""
+    n, m = pool[0].shape
+    q = np.zeros((n, m, rank), dtype=complex)
+    low = top = 0  # the fewest and the most columns a row holds
     for cand in pool:
-        if count == rank:
+        if low == rank:
             break
-        scale = np.linalg.norm(cand)
-        if scale == 0.0:
-            continue
-        v, residual = _cgs2(q[:, :count], np.asarray(cand, dtype=complex))
-        if residual > 1e-10 * scale:
-            q[:, count] = v / residual
-            count += 1
-    return q[:, :count]
+        v, residual = _cgs2(q[..., :top], cand)
+        took = residual > 1e-10 * _norm(cand)
+        if low == top:  # every row holds `top` columns, the common case
+            if took.all():
+                q[..., top] = v / residual[:, None]
+                low = top = top + 1
+                continue
+            count = np.full(n, top)
+        took &= count < rank
+        q[took, :, count[took]] = v[took] / residual[took, None]
+        count += took
+        low, top = int(count.min()), int(count.max())
+    return q[..., :top]
 
 
 def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
@@ -208,35 +268,38 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
     only when the output power w^H R w does not increase, so the objective is
     nonincreasing across iterations; with rank = M the first candidate spans
     the whole space and the design coincides with full minimum variance.
+
+    An (M, N) steering stack runs the N alternations in lockstep: each
+    ladder step is one factor and one N-column solve, and each column keeps
+    its own candidates and its own accept rule.
     """
     cov = scene.CovarianceSet.of(r)
     r = cov.matrix
-    s = np.asarray(s, dtype=complex)
-    m = s.size
+    rows = _rows(s)
+    m = rows.shape[1]
     if not 1 <= rank <= m:
         raise ValueError(f"rank must be in [1, {m}], got {rank}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     identity_cols = list(np.eye(m, dtype=complex))  # the rows of I are its columns, on one base
-    basis = np.column_stack(identity_cols[:rank])
-    w = lr_mvdr_weights(basis, cov, s)
-    objective = float((w.conj() @ r @ w).real)
+    w = _reduced_mvdr(np.eye(m, rank, dtype=complex), r, rows)
+    objective = _form(w, r, w)
     scale = float(np.trace(r).real) / m
     ladder_dirs: list[np.ndarray] = []
     gradient_dirs: list[np.ndarray] = []
     for it in range(iterations):
         ridge = scale * 10.0 ** (-(1.0 + 0.5 * it))
-        ladder_dirs.append(linalg.hpd_solve(_plus_diagonal(r, ridge), s))
-        gradient_dirs.append(r @ w)
-        pool = [s, w] + ladder_dirs[::-1] + gradient_dirs[::-1] + identity_cols
-        candidate = _orthonormal_from(pool, rank)
-        w_new = lr_mvdr_weights(candidate, cov, s)
+        ladder_dirs.append(linalg.hpd_solve(_plus_diagonal(r, ridge), rows.T).T)
+        gradient_dirs.append((r @ w[..., None])[..., 0])
+        pool = [rows, w] + ladder_dirs[::-1] + gradient_dirs[::-1] + identity_cols
+        w_new = _reduced_mvdr(_orthonormal_from(pool, rank), r, rows)
         if not np.all(np.isfinite(w_new)):
             raise NumericalError(f"non-finite weight at iteration {it + 1}")
-        new_objective = float((w_new.conj() @ r @ w_new).real)
-        if new_objective <= objective * (1.0 + 1e-12) + 1e-300:
-            w, objective = w_new, min(new_objective, objective)
-    return w
+        new_objective = _form(w_new, r, w_new)
+        better = new_objective <= objective * (1.0 + 1e-12) + 1e-300
+        w = np.where(better[:, None], w_new, w)
+        objective = np.where(better, np.minimum(new_objective, objective), objective)
+    return _columns(w, s)
 
 
 def decimation_pattern(m: int, rank: int, branches: int) -> np.ndarray:
@@ -254,10 +317,10 @@ def decimation_pattern(m: int, rank: int, branches: int) -> np.ndarray:
 
 def _branch_mvdr(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Per branch, the minimum-variance solution x / (rhs^H x), x = mat^-1 rhs,
-    of a (B, n, n) stack of matrices (symmetrized first) and a (B, n) stack
-    of constraints, solved in one call. Raises NumericalError if a matrix is
-    singular or by the rule of :func:`_distortionless`."""
-    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+    of an (..., n, n) stack of matrices (symmetrized first) and an (..., n)
+    stack of constraints, solved in one call. Raises NumericalError if a
+    matrix is singular or by the rule of :func:`_distortionless`."""
+    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
     try:
         x = np.linalg.solve(mats, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -285,10 +348,13 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
     half-step. Interpolator taps with no in-array sample (i >= M - b for
     branch b) have zero rows, columns and constraints: a unit diagonal
     solves them to 0, and they fall outside the returned weight anyway.
+
+    An (M, N) steering stack carries its columns as a leading batch axis
+    through every step, broadcast against the one gathered tensor.
     """
     cov = scene.CovarianceSet.of(r)
-    s = np.asarray(s, dtype=complex)
-    m = s.size
+    s_rows = _rows(s)
+    n, m = s_rows.shape
     if branches < 1:
         raise ValueError("branches must be >= 1")
     if not 1 <= interp_len <= m:
@@ -304,32 +370,32 @@ def jidf_design(r, s, branches: int, interp_len: int, rank: int, iterations: int
     stats = padded[rows[:, :, None], rows[:, None, :]]  # (B, D*I, D*I)
     by_window = stats.reshape(branches, rank, interp_len, rank * interp_len)
     by_rank = stats.reshape(branches, rank, interp_len * rank * interp_len)
-    steer = np.concatenate([s, np.zeros(interp_len - 1, dtype=complex)])[rows]
-    steer = steer.reshape(branches, rank, interp_len)
+    steer = np.concatenate([s_rows, np.zeros((n, interp_len - 1), dtype=complex)], axis=1)
+    steer = np.take(steer, rows, axis=1).reshape(n, branches, rank, interp_len)
     pad_b, pad_i = np.nonzero(z[:, :1] + np.arange(interp_len) >= m)
 
-    v = np.zeros((branches, interp_len), dtype=complex)
-    v[:, 0] = 1.0
+    v = np.zeros((n, branches, interp_len), dtype=complex)
+    v[..., 0] = 1.0
     for _ in range(iterations):
         # weight update: r_w[d, e] = sum_ij v_i stats[(d, i), (e, j)] conj(v_j)
-        r_w = (v[:, None, None, :] @ by_window).reshape(branches, rank, rank, interp_len)
-        r_w = (r_w @ v.conj()[:, None, :, None])[..., 0]
-        s_w = (steer @ v[:, :, None])[..., 0]
+        r_w = (v[..., None, None, :] @ by_window).reshape(n, branches, rank, rank, interp_len)
+        r_w = (r_w @ v.conj()[..., None, :, None])[..., 0]
+        s_w = (steer @ v[..., None])[..., 0]
         w = _branch_mvdr(r_w, s_w)
         # interpolator update: r_v[i, j] = conj(sum_de conj(w_d) stats[(d, i), (e, j)] w_e)
-        r_v = (w.conj()[:, None, :] @ by_rank).reshape(branches, interp_len, rank, interp_len)
-        r_v = (w[:, None, None, :] @ r_v)[:, :, 0, :].conj()
-        r_v[pad_b, pad_i, pad_i] = 1.0
-        s_v = (steer.conj().transpose(0, 2, 1) @ w[:, :, None])[..., 0]
+        r_v = (w.conj()[..., None, :] @ by_rank).reshape(n, branches, interp_len, rank, interp_len)
+        r_v = (w[..., None, None, :] @ r_v)[..., 0, :].conj()
+        r_v[:, pad_b, pad_i, pad_i] = 1.0
+        s_v = (steer.conj().swapaxes(-1, -2) @ w[..., None])[..., 0]
         v = _branch_mvdr(r_v, s_v)
     # cascade[b, (d, i)] = conj(w_d) v_i is the conjugate of branch b's full-length
     # weight at z_d + i, so the quadratic form is that weight's output power
-    cascade = (w.conj()[:, :, None] * v[:, None, :]).reshape(branches, rank * interp_len)
-    power = (cascade[:, None, :] @ stats @ cascade.conj()[:, :, None]).real[:, 0, 0]
-    best = int(np.argmin(power))
-    w_full = np.zeros(m + interp_len - 1, dtype=complex)
-    np.add.at(w_full, rows[best], cascade[best].conj())
-    return w_full[:m]
+    cascade = (w.conj()[..., None] * v[..., None, :]).reshape(n, branches, rank * interp_len)
+    power = (cascade[..., None, :] @ stats @ cascade.conj()[..., None]).real[..., 0, 0]
+    best = np.argmin(power, axis=-1)
+    w_full = np.zeros((n, m + interp_len - 1), dtype=complex)
+    np.add.at(w_full, (np.arange(n)[:, None], rows[best]), cascade[np.arange(n), best].conj())
+    return _columns(w_full[:, :m], s)
 
 
 # relative weight change at which the sparsity-aware reweighting stops early
@@ -343,7 +409,9 @@ def sa_mvdr_weights(r, s, penalty: float, epsilon: float, iterations: int) -> np
     w^H diag(1/(|w|+eps)) w, refreshed from the previous iterate: each pass
     solves w = (R + penalty*Lambda)^-1 s, normalized to w^H s = 1. Starts
     from the unpenalized solution; stops at the iteration budget or when the
-    relative weight change drops below ``SA_TOLERANCE``.
+    relative weight change drops below ``SA_TOLERANCE``. The columns of an
+    (M, N) steering stack share the first solve; their reweighting iterates
+    differ, so each column reweights on its own.
     """
     if penalty < 0:
         raise ValueError("penalty must be >= 0")
@@ -351,19 +419,20 @@ def sa_mvdr_weights(r, s, penalty: float, epsilon: float, iterations: int) -> np
         raise ValueError("epsilon must be > 0")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    s = np.asarray(s, dtype=complex)
     cov = scene.CovarianceSet.of(r)
-    w = mvdr_weights(cov, s)
+    rows = _rows(s)
+    weights = _rows(mvdr_weights(cov, s))
     if penalty > 0:
-        for _ in range(iterations):
-            reweight = 1.0 / (np.abs(w) + epsilon)
-            loaded = _plus_diagonal(cov.matrix, penalty * reweight)
-            w_new = _distortionless(s, linalg.hpd_solve(loaded, s))
-            change = np.linalg.norm(w_new - w) / max(np.linalg.norm(w), 1e-300)
-            w = w_new
-            if change <= SA_TOLERANCE:
-                break
-    return w
+        for s_n, w in zip(rows, weights):
+            for _ in range(iterations):
+                reweight = 1.0 / (np.abs(w) + epsilon)
+                loaded = _plus_diagonal(cov.matrix, penalty * reweight)
+                w_new = _distortionless(s_n, linalg.hpd_solve(loaded, s_n))
+                change = np.linalg.norm(w_new - w) / max(np.linalg.norm(w), 1e-300)
+                w[:] = w_new
+                if change <= SA_TOLERANCE:
+                    break
+    return _columns(weights, s)
 
 
 @dataclass(frozen=True)
@@ -406,31 +475,32 @@ def ka_mvdr_weights(
             w proportional to eta*R_prior^-1 s + (1-eta)*R_hat^-1 s.
         ``optimal_eta``: pick eta minimizing the output power against
             ``r_hat``, the best available stand-in for the unknown truth,
-            clamped to [0, 1];
+            clamped to [0, 1], for each column of an (M, N) steering stack;
             a vanishing curvature falls back to eta = 0.5.
+
+    Every solve takes all N columns of a stack in one call.
     """
-    s = np.asarray(s, dtype=complex)
+    rows = _rows(s)
     cov = scene.CovarianceSet.of(r_hat)
     if mode == "fixed_alpha":
         if alpha is None or not 0.0 <= alpha <= 1.0:
             raise ValueError("fixed_alpha mode needs alpha in [0, 1]")
         blend = alpha * prior.matrix + (1.0 - alpha) * cov.matrix  # Hermitian by construction
-        return _distortionless(s, linalg.hpd_solve(blend, s))
+        return _columns(_distortionless(rows, linalg.hpd_solve(blend, rows.T).T), s)
     if mode not in ("fixed_eta", "optimal_eta"):
         raise ValueError(f"unknown knowledge-aided mode {mode!r}")
-    data_dir = cov.solve(s)
-    prior_dir = prior.solve(s)
+    data_dir = cov.solve(rows.T).T
+    prior_dir = prior.solve(rows.T).T
     if mode == "optimal_eta":
         reference = cov.matrix
         diff = prior_dir - data_dir
-        curvature = float((diff.conj() @ reference @ diff).real)
-        if curvature <= 1e-300:
-            eta = 0.5
-        else:
-            numer = float(((data_dir - prior_dir).conj() @ reference @ data_dir).real)
-            eta = min(max(numer / curvature, 0.0), 1.0)
+        curvature = _form(diff, reference, diff)
+        numer = _form(data_dir - prior_dir, reference, data_dir)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = np.where(curvature <= 1e-300, 0.5, np.minimum(np.maximum(numer / curvature, 0.0), 1.0))
+        eta = eta[:, None]
     else:
         if eta is None or not 0.0 <= eta <= 1.0:
             raise ValueError("fixed_eta mode needs eta in [0, 1]")
-    return _distortionless(s, eta * prior_dir + (1.0 - eta) * data_dir)
+    return _columns(_distortionless(rows, eta * prior_dir + (1.0 - eta) * data_dir), s)
 

@@ -74,19 +74,24 @@ class ExperimentResult:
                 yield (name, p.x, p.value, p.std, p.count)
 
 
-def sinr(w, r, s, xi_t: float) -> float:
+def sinr(w, r, s, xi_t):
     """Output SINR in dB: xi_t*M*|w^H s|^2 / (w^H R w), R interference-plus-noise.
 
     Scale-invariant in ``w``; the steering vector is assumed unit-energy with
-    the target power carried by xi_t * M.
+    the target power carried by xi_t * M. ``w`` and ``s`` are vectors, or
+    stacks of them along leading axes, (..., M); the stacks broadcast
+    against each other and against ``xi_t``, and give an array of values,
+    each computed as its own vectors would give it.
     """
     w = np.asarray(w, dtype=complex)
     s = np.asarray(s, dtype=complex)
-    denom = float((w.conj() @ r @ w).real)
-    if not denom > 0.0:
-        raise NumericalError(f"output interference power is not positive: {denom:.3e}")
-    m = s.size
-    return 10.0 * math.log10(xi_t * m * abs(w.conj() @ s) ** 2 / denom)
+    denom = ((w.conj()[..., None, :] @ r) @ w[..., None])[..., 0, 0].real
+    if not np.all(denom > 0.0):
+        raise NumericalError(f"output interference power is not positive: {np.min(denom):.3e}")
+    gain = (w.conj()[..., None, :] @ s[..., None])[..., 0, 0]
+    ratio = xi_t * s.shape[-1] * np.hypot(gain.real, gain.imag) ** 2 / denom
+    values = np.array([10.0 * math.log10(x) for x in ratio.flat]).reshape(ratio.shape)
+    return values if values.ndim else float(values)
 
 
 def detection_threshold(w, r, pfa: float) -> float:
@@ -154,26 +159,30 @@ def adaptive_rank(k_snapshots: int, m: int) -> int:
 class DesignContext:
     """Everything a designer may draw on besides the training data. ``cov``
     (the true covariance) and ``prior`` are built once per study and shared
-    by every context ``replace`` derives from it, so each keeps one factor."""
+    by every context ``replace`` derives from it, so each keeps one factor.
+    ``steering`` is one steering vector (M,) or an (M, N) stack of them,
+    and ``xi_t`` its target power, a scalar or one per column."""
 
     cfg: scene.RadarConfig
     cov: scene.CovarianceSet
     steering: np.ndarray
-    xi_t: float
+    xi_t: float | np.ndarray
     params: AlgorithmParams
     prior: scene.CovarianceSet | None = None
 
 
 @dataclass
 class Design:
-    """One algorithm's weight vector and its multiplication count."""
+    """One algorithm's weight, in the shape of the context's steering, and
+    the multiplication count of the designs it holds."""
 
     w: np.ndarray
     multiplication_count: int
 
 
-# Each design maps (context, estimated covariance) to the weight vector and the
-# sizes its multiplication count depends on; the covariance is a
+# Each design maps (context, estimated covariance) to the weight, in the shape
+# of the context's steering, and the sizes the multiplication count of one
+# design depends on; the covariance is a
 # scene.CovarianceSet that holds its training block. They reach the beamformers
 # through the ``bf`` module so that a wrapper installed on a ``bf`` function
 # sees every call.
@@ -189,25 +198,25 @@ def _design_smi(ctx: DesignContext, r_hat):
 
 def _design_lr_evd(ctx: DesignContext, r_hat):
     p, s, k = ctx.params, ctx.steering, r_hat.snapshots.shape[1]
-    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(k, s.size)
+    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(k, len(s))
     return bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, rank, p.evd_selection), r_hat, s), {"d": rank}
 
 
 def _design_lr_krylov(ctx: DesignContext, r_hat):
     p, s, k = ctx.params, ctx.steering, r_hat.snapshots.shape[1]
-    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(k, s.size)
+    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(k, len(s))
     return bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, rank), r_hat, s), {"d": rank}
 
 
 def _design_lr_jio(ctx: DesignContext, r_hat):
     p, s = ctx.params, ctx.steering
-    rank = min(p.rank, s.size)
+    rank = min(p.rank, len(s))
     return bf.jio_design(r_hat, s, rank, p.iterations), {"d": rank, "iterations": p.iterations}
 
 
 def _design_lr_jidf(ctx: DesignContext, r_hat):
     p, s = ctx.params, ctx.steering
-    m = s.size
+    m = len(s)
     rank, interp_len = min(p.rank, m), min(p.interp_len, m)
     branches = len(bf.decimation_pattern(m, rank, p.branches))
     w = bf.jidf_design(r_hat, s, branches, interp_len, rank, p.iterations)
@@ -285,7 +294,7 @@ def multiplication_count(
       loaded covariance once into a (B, D*I, D*I) tensor and alternates on
       it;
     * ``lr-evd``/``lr-krylov``: :func:`run_complexity_sweep` charges them at
-      D = ``rank``, while their designs run at the adaptive rank or a pinned
+      D = min(``rank``, M), while their designs run at the adaptive rank or a pinned
       one (13 at K = M = 64): at M = 64 the sweep counts ``lr-krylov`` at
       289,240 against the design's 328,405.
     """
@@ -298,18 +307,33 @@ def multiplication_count(
     return cost(m, k, d, b, i_len, iterations)
 
 
+# the most columns of a steering stack one design call takes: a stacked design's
+# intermediates grow with its columns, lr-jidf's by about 0.1 MB a column at
+# M = 64, and the peak memory of a Doppler sweep with them
+STACK_CHUNK = 8
+
+
 def design_algorithm(name: str, ctx: DesignContext, r_hat: scene.CovarianceSet) -> Design:
     """Design one algorithm on a loaded sample covariance and its training block.
 
     ``r_hat`` is a scene.CovarianceSet that holds its (M, K) training block
     (``CovarianceSet.estimate``, one per run and K in the SINR sweeps, one per
-    design block in the Pd sweep), so every design and Doppler bin on it
-    shares its factorizations. Returns the weight with its multiplication count.
+    design block in the Pd sweep), so every design on it shares its
+    factorizations. The context's steering is one vector (M,) or an (M, N)
+    stack, whose N columns, the Doppler bins of a sweep, are designed
+    together, ``STACK_CHUNK`` columns per call of the design. Returns the
+    weight, in the steering's shape, with the multiplication count of N
+    designs.
     """
     design, _ = _table_entry(name)
-    w, sizes = design(ctx, r_hat)
-    k = r_hat.snapshots.shape[1]
-    return Design(w, multiplication_count(name, ctx.steering.size, k_snapshots=k, **sizes))
+    s = ctx.steering
+    chunks = [ctx] if s.ndim == 1 else [
+        replace(ctx, steering=s[:, i : i + STACK_CHUNK]) for i in range(0, s.shape[1], STACK_CHUNK)
+    ]
+    designs = [design(chunk, r_hat) for chunk in chunks]
+    m, k = len(s), r_hat.snapshots.shape[1]
+    count = s.size // m * multiplication_count(name, m, k_snapshots=k, **designs[0][1])
+    return Design(np.concatenate([w for w, _ in designs], axis=-1), count)
 
 
 def _make_context(cfg, target, spec) -> DesignContext:
@@ -385,18 +409,34 @@ def _default_k_grid(k_max: int) -> tuple[int, ...]:
     return tuple(int(k) for k in grid if k <= k_max)  # _ascending sorts and dedups
 
 
+def _design_into(out: np.ndarray, name: str, ctx: DesignContext, r_hat) -> None:
+    """Write algorithm ``name``'s weight into the NaN-filled ``out``. A design
+    that raises leaves ``out`` NaN, which every scorer counts as a failed
+    design; a stack that raises is designed again one column at a time, so
+    only the columns that fail on their own stay NaN."""
+    try:
+        out[...] = design_algorithm(name, ctx, r_hat).w
+    except (NumericalError, np.linalg.LinAlgError):
+        if ctx.steering.ndim == 2:
+            xi = np.broadcast_to(ctx.xi_t, ctx.steering.shape[1:])
+            for n in range(ctx.steering.shape[1]):
+                _design_into(out[:, n], name, replace(ctx, steering=ctx.steering[:, n], xi_t=xi[n]), r_hat)
+
+
 def _designed(ctx: DesignContext, spec, runs: int, draw: int, points):
     """Every Monte-Carlo run's designs, as (run, point index, point context,
     weights, generator).
 
     Run r seeds its generator from (seed, r) and draws ``draw`` target-free
     snapshots. With ``points[g] = (context, K)``, point g designs every
-    algorithm on that context and on the sample covariance of the first K of
-    the run's snapshots. ``draw`` is fixed, as a shorter draw has other first
-    columns; one estimate serves consecutive equal Ks. ``weights`` is
-    (algorithms, M): a design that raises leaves a NaN row, which every scorer
-    counts as a failed design. The generator is yielded for a scorer that
-    draws more from the run's stream.
+    algorithm once on that context and on the sample covariance of the first
+    K of the run's snapshots; the context's steering is one vector or an
+    (M, N) stack, which one call designs whole. ``draw`` is fixed, as a
+    shorter draw has other first columns; one estimate serves consecutive
+    equal Ks. ``weights`` is (algorithms,) + the steering's shape: a design
+    that raises leaves its weight NaN (a stack, each failing column; see
+    :func:`_design_into`). The generator is yielded for a scorer that draws
+    more from the run's stream.
     """
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, run)))
@@ -406,25 +446,29 @@ def _designed(ctx: DesignContext, spec, runs: int, draw: int, points):
             if r_hat is None or r_hat.snapshots.shape[1] != k:
                 r_hat = None  # free the last estimate before building the next
                 r_hat = scene.CovarianceSet.estimate(block[:, :k], spec.loading)
-            weights = np.full((len(spec.algorithms), ctx.steering.size), np.nan, dtype=complex)
+            weights = np.full((len(spec.algorithms),) + point_ctx.steering.shape, np.nan, dtype=complex)
             for ai, name in enumerate(spec.algorithms):
-                try:
-                    weights[ai] = design_algorithm(name, point_ctx, r_hat).w
-                except (NumericalError, np.linalg.LinAlgError):
-                    pass  # the NaN row left in place marks a failed design
+                _design_into(weights[ai], name, point_ctx, r_hat)
             yield run, gi, point_ctx, weights, rng
         block = r_hat = None  # free this run's data before the next draw
 
 
 def _sinr_sweep(ctx: DesignContext, spec, draw: int, grid, points) -> ExperimentResult:
     """SINR curves over ``grid``, one point per entry of ``points`` (see
-    :func:`_designed`), each design scored against the true covariance."""
-    samples = np.full((spec.runs, len(spec.algorithms), len(points)), np.nan)
+    :func:`_designed`), each covering as many grid entries as its steering
+    has columns, the same number for every point. Each run's designs at a
+    point are scored against the true covariance in one stacked call per
+    algorithm."""
+    algorithms, m = len(spec.algorithms), len(ctx.steering)
+    samples = np.full((spec.runs, algorithms, len(points), len(grid) // len(points)), np.nan)
     for run, gi, point_ctx, weights, _ in _designed(ctx, spec, spec.runs, draw, points):
+        s = point_ctx.steering.reshape(m, -1).T  # one row per grid entry
+        xi = np.broadcast_to(point_ctx.xi_t, len(s))
         for ai, w in enumerate(weights):
-            if np.isfinite(w).all():
-                samples[run, ai, gi] = sinr(w, point_ctx.cov.matrix, point_ctx.steering, point_ctx.xi_t)
-    return _aggregate(spec.kind, "sinr_db", spec.algorithms, grid, samples)
+            w = w.reshape(m, -1).T
+            ok = np.isfinite(w).all(axis=-1)
+            samples[run, ai, gi, ok] = sinr(w[ok], point_ctx.cov.matrix, s[ok], xi[ok])
+    return _aggregate(spec.kind, "sinr_db", spec.algorithms, grid, samples.reshape(spec.runs, algorithms, -1))
 
 
 def run_sinr_vs_snapshots(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -445,19 +489,22 @@ def run_sinr_vs_doppler(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) 
     """Output SINR across target Doppler at a fixed training size.
 
     The training block (and hence the sample covariance) is Doppler-
-    independent; only the steering vector moves across the grid. A deep
-    clutter notch is expected where the target Doppler crosses the clutter
-    ridge at the look angle.
+    independent; only the steering vector moves across the grid, so every
+    algorithm designs all the bins of a run in one call, on the (M, N) stack
+    of their steering vectors. A deep clutter notch is expected where the
+    target Doppler crosses the clutter ridge at the look angle.
     """
     _require_kind(spec, "sinr-vs-doppler")
     ctx = _make_context(cfg, target, spec)
     k_train = spec.effective_k_train()
     grid = tuple(float(f) for f in spec.doppler_grid())
-    bins = [
-        (replace(ctx, steering=scene.target_steering(cfg, tgt), xi_t=scene.target_power(cfg, tgt)), k_train)
-        for tgt in (replace(target, doppler_hz=fd) for fd in grid)
-    ]
-    return _sinr_sweep(ctx, spec, k_train, grid, bins)
+    targets = [replace(target, doppler_hz=fd) for fd in grid]
+    bins = replace(
+        ctx,
+        steering=np.column_stack([scene.target_steering(cfg, tgt) for tgt in targets]),
+        xi_t=np.array([scene.target_power(cfg, tgt) for tgt in targets]),
+    )
+    return _sinr_sweep(ctx, spec, k_train, grid, [(bins, k_train)])
 
 
 def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> ExperimentResult:
@@ -517,15 +564,17 @@ def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec)
     """Multiplication counts over ``m_grid`` for every algorithm but the
     clairvoyant ``optimal`` bound, with the training set scaled to the problem
     (K = M), which keeps the covariance-formation term commensurate with the
-    solve terms across the grid. ``lr-jidf`` is charged for the branches its
-    design runs at each M, those whose decimation pattern repeats no index.
-    The scene and the target are not used.
+    solve terms across the grid. Every algorithm is charged at the sizes the
+    designs clamp to M, D = min(``rank``, M) and I = min(``interp_len``, M),
+    and ``lr-jidf`` for the branches its design runs at each M, those whose
+    decimation pattern repeats no index. The scene and the target are not
+    used.
     """
     _require_kind(spec, "complexity")
-    sizes = dict(d=spec.rank, i_len=spec.interp_len, iterations=spec.iterations)
     curves = {name: [] for name in spec.algorithms if name != "optimal"}
     for m in _ascending(spec.m_grid, int):
-        b = len(bf.decimation_pattern(m, min(spec.rank, m), spec.branches))
+        sizes = dict(d=min(spec.rank, m), i_len=min(spec.interp_len, m), iterations=spec.iterations)
+        sizes["b"] = len(bf.decimation_pattern(m, sizes["d"], spec.branches))
         for name, points in curves.items():
-            points.append(CurvePoint(m, multiplication_count(name, m, b=b, **sizes), 0.0, 1))
+            points.append(CurvePoint(m, multiplication_count(name, m, **sizes), 0.0, 1))
     return ExperimentResult(spec.kind, "multiplications", curves)

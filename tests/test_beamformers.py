@@ -69,6 +69,14 @@ def mgs_columns(pool, rank, stop_on_dependent):
     return np.column_stack(columns)
 
 
+def mgs_rows(pool, rank):
+    """:func:`mgs_columns` for each row of a pool of (N, M) stacks, in which an
+    (M,) entry serves every row: the (N, M, rank) stack of the rows' bases."""
+    n = len(pool[0])
+    rows = [[np.broadcast_to(c, pool[0].shape)[i] for c in pool] for i in range(n)]
+    return np.stack([mgs_columns(lambda _, row=row: row, rank, False) for row in rows])
+
+
 def mgs_krylov(r, s, rank):
     def chain(columns):
         yield s
@@ -224,6 +232,18 @@ class TestKrylovBasis:
         assert np.linalg.norm(w - w_ref) <= 1e-9 * np.linalg.norm(w_ref)
 
 
+    def test_stack_whose_chains_stagnate_apart_raises(self):
+        # an eigenvector's chain stops at length 1 and a generic vector's does
+        # not: each designs on its own, and the stack that holds both raises
+        r = np.diag([1.0, 2.0, 3.0, 4.0])
+        s = np.column_stack([np.eye(4)[0], np.full(4, 0.5)])
+        assert bf.krylov_basis(r, s[:, 0], 3).shape == (4, 1)
+        assert bf.krylov_basis(r, s[:, 1], 3).shape == (4, 3)
+        assert bf.krylov_basis(r, np.column_stack([s[:, 1], -s[:, 1]]), 3).shape == (2, 4, 3)
+        with pytest.raises(NumericalError, match="stagnate at different lengths"):
+            bf.krylov_basis(r, s, 3)
+
+
 class TestJio:
     def test_full_rank_matches_mvdr_quickly(self):
         rng = np.random.default_rng(6)
@@ -282,13 +302,22 @@ class TestJio:
         assert len(pools) == 3
         for pool, rank in pools:
             q = real(pool, rank)
-            assert q.shape == (256, 20)
-            assert np.abs(q.conj().T @ q - np.eye(20)).max() <= 1e-12
-        monkeypatch.setattr(
-            bf, "_orthonormal_from", lambda pool, rank: mgs_columns(lambda _: pool, rank, False)
-        )
+            assert q.shape == (1, 256, 20)
+            assert np.abs(q[0].conj().T @ q[0] - np.eye(20)).max() <= 1e-12
+        monkeypatch.setattr(bf, "_orthonormal_from", mgs_rows)
         w_ref = bf.jio_design(r_hat, s, 20, 3)
         assert np.linalg.norm(w - w_ref) <= 1e-9 * np.linalg.norm(w_ref)
+
+    def test_stacked_pool_keeps_a_count_per_row(self):
+        # row 0 repeats its first candidate and row 1 does not, so the rows
+        # take different candidates; each must match its own reference
+        rng = np.random.default_rng(9)
+        a, b, c = (rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8)) for _ in range(3))
+        b[0] = 2j * a[0]
+        pool = [a, b, c] + list(np.eye(8, dtype=complex))
+        for rank in (2, 3, 5):
+            q = bf._orthonormal_from(pool, rank)
+            np.testing.assert_allclose(q, mgs_rows(pool, rank), atol=1e-12)
 
     def test_identity_pool_is_one_matrix(self):
         # the pool of M identity columns must share one M x M base; one base
@@ -437,8 +466,8 @@ class TestJidf:
         assert np.linalg.norm(w - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_one_batched_solve_per_half_step(self, table_scene, monkeypatch):
-        # all branches are solved in one call per half-step, and no Cholesky
-        # factor is made
+        # all branches, and all columns of a steering stack, are solved in one
+        # call per half-step, and no Cholesky factor is made
         cov, s = table_scene
         r_hat = scene.CovarianceSet.estimate(
             scene.draw_interference_block(cov, 100, np.random.default_rng(6)), 0.01
@@ -456,8 +485,10 @@ class TestJidf:
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         monkeypatch.setattr(linalg, "cholesky", no_factor)
         monkeypatch.setattr(linalg, "hpd_solve", no_factor)
-        bf.jidf_design(r_hat, s, 8, 8, 6, 5)
-        assert stacks == [(8, 6, 6), (8, 8, 8)] * 5
+        for steering, columns in ((s, 1), (np.column_stack([s * np.exp(0.3j * c) for c in range(3)]), 3)):
+            stacks.clear()
+            bf.jidf_design(r_hat, steering, 8, 8, 6, 5)
+            assert stacks == [(columns, 8, 6, 6), (columns, 8, 8, 8)] * 5
 
     def test_degenerate_configuration_reduces_to_smi(self):
         cfg = scene.RadarConfig(

@@ -22,7 +22,9 @@ The parent runs each study once, at OPENBLAS_NUM_THREADS=1; the change runs
 it at =1 and =2, and both of its runs must write the parent's bytes. It
 compares every output file, stdout, stderr and the exit status byte for byte,
 prints each moved CSV field as config, threads, algorithm, x, column, old ->
-new, and exits 1 if anything differs.
+new, and exits 1 if anything differs. After the cases it prints a summary:
+the largest |old - new| of the moved CSV fields for each study, algorithm
+and column, over both thread counts.
 
 Standard library only. It writes nothing into either tree or into this
 checkout: outputs go to a temporary directory and bytecode is not written.
@@ -108,6 +110,21 @@ def csv_moves(label: str, old: bytes, new: bytes) -> list:
     return lines or [f"{label}: rows reordered, no field moved"]
 
 
+def largest_moves(old: bytes, new: bytes, largest: dict, study: str) -> None:
+    """Raise largest[(study, algorithm, column)] to the largest |old - new| of
+    the numeric CSV fields that differ between two runs' files."""
+    old_rows, new_rows = ([*csv.reader(io.StringIO(data.decode()))] for data in (old, new))
+    new_by_key = {tuple(row[:2]): row for row in new_rows[1:]}
+    for a in old_rows[1:]:
+        b = new_by_key.get(tuple(a[:2]))
+        for column, x, y in zip(old_rows[0][2:], a[2:], b[2:] if b else ()):
+            if x != y:
+                key = (study, a[0], column)
+                delta = abs(float(y) - float(x))
+                if not delta <= largest.get(key, 0.0):  # a NaN delta sticks
+                    largest[key] = delta
+
+
 def compare(label: str, old, new) -> list:
     """Every difference between two runs' (status, stdout, stderr, files)."""
     lines = []
@@ -141,6 +158,7 @@ def main(argv) -> int:
             print(f"error: no stapbench sources under {src}", file=sys.stderr)
             return 2
     differences = cases = 0
+    largest = {}
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         for index, (name, config, args) in enumerate(studies()):
             old = run(parent, config, args, "1", Path(tmp) / f"{index}-parent")
@@ -155,6 +173,13 @@ def main(argv) -> int:
                       flush=True)
                 for line in lines:
                     print("  " + line)
+                for file in sorted(old[3].keys() & new[3].keys()):
+                    if file.endswith(".csv") and old[3][file] != new[3][file]:
+                        largest_moves(old[3][file], new[3][file], largest, name)
+    if largest:
+        print("largest |old - new| by study, algorithm and column:")
+        for (study, algorithm, column), delta in largest.items():
+            print(f"  {study}, {algorithm}, {column}: {delta:.3g}")
     print(f"{cases - differences}/{cases} cases byte-identical")
     return 1 if differences else 0
 
