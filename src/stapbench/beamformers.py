@@ -229,27 +229,24 @@ def krylov_basis(r, s, rank: int) -> np.ndarray:
 def _orthonormal_from(pool: list[np.ndarray], rank: int) -> np.ndarray:
     """For each row of the (N, M) stacks in ``pool`` (an (M,) entry serves every
     row), its first ``rank`` independent directions, orthonormalized (CGS2):
-    an (N, M, D) stack. Each row keeps its own count of the candidates it
-    took; D is the largest count, and a row with fewer has zero columns."""
+    an (N, M, D) stack. The rows take candidates in lockstep, every row or
+    none; rows that disagree raise NumericalError, so such columns are
+    designed one at a time."""
     n, m = pool[0].shape
-    q = np.zeros((n, m, rank), dtype=complex)
-    low = top = 0  # the fewest and the most columns a row holds
+    q = np.empty((n, m, rank), dtype=complex)
+    count = 0
     for cand in pool:
-        if low == rank:
+        if count == rank:
             break
-        v, residual = _cgs2(q[..., :top], cand)
+        v, residual = _cgs2(q[..., :count], cand)
         took = residual > 1e-10 * _norm(cand)
-        if low == top:  # every row holds `top` columns, the common case
-            if took.all():
-                q[..., top] = v / residual[:, None]
-                low = top = top + 1
-                continue
-            count = np.full(n, top)
-        took &= count < rank
-        q[took, :, count[took]] = v[took] / residual[took, None]
-        count += took
-        low, top = int(count.min()), int(count.max())
-    return q[..., :top]
+        if not took.all():
+            if took.any():
+                raise NumericalError("the rows of the stacked pool take different candidates")
+            continue
+        q[..., count] = v / residual[:, None]
+        count += 1
+    return q[..., :count]
 
 
 def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
@@ -270,8 +267,9 @@ def jio_design(r, s, rank: int, iterations: int) -> np.ndarray:
     the whole space and the design coincides with full minimum variance.
 
     An (M, N) steering stack runs the N alternations in lockstep: each
-    ladder step is one factor and one N-column solve, and each column keeps
-    its own candidates and its own accept rule.
+    ladder step is one factor and one N-column solve, every column takes the
+    same pool candidates (a stack whose columns would keep different ones
+    raises NumericalError), and each column keeps its own accept rule.
     """
     cov = scene.CovarianceSet.of(r)
     r = cov.matrix
@@ -458,25 +456,18 @@ def ka_prior(
     return scene.CovarianceSet(scene.clutter_covariance(shifted) + scene.noise_covariance(cfg))
 
 
-def ka_mvdr_weights(
-    r_hat,
-    prior: scene.CovarianceSet,
-    s,
-    mode: str,
-    alpha: float | None = None,
-    eta: float | None = None,
-) -> np.ndarray:
+def ka_mvdr_weights(r_hat, prior: scene.CovarianceSet, s, mode: str, alpha: float | None = None) -> np.ndarray:
     """Knowledge-aided minimum-variance weights.
 
     Modes:
         ``fixed_alpha``: design on the blended covariance
             alpha*R_prior + (1-alpha)*R_hat.
-        ``fixed_eta``: blend the two solutions,
-            w proportional to eta*R_prior^-1 s + (1-eta)*R_hat^-1 s.
-        ``optimal_eta``: pick eta minimizing the output power against
-            ``r_hat``, the best available stand-in for the unknown truth,
-            clamped to [0, 1], for each column of an (M, N) steering stack;
-            a vanishing curvature falls back to eta = 0.5.
+        ``optimal_eta``: blend the two solutions,
+            w proportional to eta*R_prior^-1 s + (1-eta)*R_hat^-1 s, with eta
+            minimizing the output power against ``r_hat``, the best available
+            stand-in for the unknown truth, clamped to [0, 1], for each column
+            of an (M, N) steering stack; a vanishing curvature falls back to
+            eta = 0.5.
 
     Every solve takes all N columns of a stack in one call.
     """
@@ -487,20 +478,13 @@ def ka_mvdr_weights(
             raise ValueError("fixed_alpha mode needs alpha in [0, 1]")
         blend = alpha * prior.matrix + (1.0 - alpha) * cov.matrix  # Hermitian by construction
         return _columns(_distortionless(rows, linalg.hpd_solve(blend, rows.T).T), s)
-    if mode not in ("fixed_eta", "optimal_eta"):
+    if mode != "optimal_eta":
         raise ValueError(f"unknown knowledge-aided mode {mode!r}")
     data_dir = cov.solve(rows.T).T
     prior_dir = prior.solve(rows.T).T
-    if mode == "optimal_eta":
-        reference = cov.matrix
-        diff = prior_dir - data_dir
-        curvature = _form(diff, reference, diff)
-        numer = _form(data_dir - prior_dir, reference, data_dir)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            eta = np.where(curvature <= 1e-300, 0.5, np.minimum(np.maximum(numer / curvature, 0.0), 1.0))
-        eta = eta[:, None]
-    else:
-        if eta is None or not 0.0 <= eta <= 1.0:
-            raise ValueError("fixed_eta mode needs eta in [0, 1]")
+    diff = prior_dir - data_dir
+    curvature = _form(diff, cov.matrix, diff)
+    numer = _form(data_dir - prior_dir, cov.matrix, data_dir)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(curvature <= 1e-300, 0.5, np.minimum(np.maximum(numer / curvature, 0.0), 1.0))[:, None]
     return _columns(_distortionless(rows, eta * prior_dir + (1.0 - eta) * data_dir), s)
-

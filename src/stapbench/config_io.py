@@ -4,8 +4,9 @@ Format: flat ``key = value`` lines for the scene, repeated ``[jammer]``
 sections, an optional ``[target]`` section and an optional ``[experiment]``
 section. ``#`` starts a comment. An empty file yields the standard scene
 (450 MHz / 300 Hz / 75 m/s / 8x8 / CNR 40 dB, two 40 dB jammers) and the
-default experiment. Unknown keys are rejected by name; parse errors carry
-line numbers.
+default experiment. Unknown keys, and a key set twice in one section (each
+``[jammer]`` is a section of its own), are rejected by name; parse errors
+carry line numbers.
 """
 
 from dataclasses import dataclass, fields
@@ -94,16 +95,15 @@ class ExperimentSpec(AlgorithmParams):
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.evd_selection not in ("pc", "csm"):
             raise ConfigError(f"evd_selection must be 'pc' or 'csm', got {self.evd_selection!r}")
-        ka_modes = ("fixed_alpha", "fixed_eta", "optimal_eta")
+        ka_modes = ("fixed_alpha", "optimal_eta")
         if self.ka_mode not in ka_modes:
             raise ConfigError(f"ka_mode must be one of {ka_modes}, got {self.ka_mode!r}")
         if self.sa_penalty < 0.0:
             raise ConfigError(f"sa_penalty must be >= 0, got {self.sa_penalty}")
         if self.sa_epsilon <= 0.0:
             raise ConfigError(f"sa_epsilon must be > 0, got {self.sa_epsilon}")
-        for key in ("ka_alpha", "ka_eta"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ConfigError(f"{key} must be in [0, 1], got {getattr(self, key)}")
+        if not 0.0 <= self.ka_alpha <= 1.0:
+            raise ConfigError(f"ka_alpha must be in [0, 1], got {self.ka_alpha}")
 
     def doppler_grid(self) -> tuple:
         grid, value = [], self.doppler_min_hz
@@ -190,6 +190,8 @@ def parse_config_text(text: str):
         annotation = _SECTION_KEYS[section].get(key)
         if annotation is None:
             raise ConfigError(f"line {line_no}: unknown {section or 'scene'} key {key!r}")
+        if key in values[section]:
+            raise ConfigError(f"line {line_no}: {section or 'scene'} key {key!r} is set twice")
         values[section][key] = _parse_value(annotation, raw, key, line_no)
     flush_jammer(len(lines))
 

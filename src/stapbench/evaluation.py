@@ -98,7 +98,10 @@ def detection_threshold(w, r, pfa: float) -> float:
     """Square-law threshold for a false-alarm rate of ``pfa``.
 
     The statistic |w^H r|^2 is exponential under target absence with mean
-    w^H R w, so the threshold is that mean times ln(1/pfa).
+    w^H R w, so the threshold is that mean times ln(1/pfa). The Pd sweep's
+    scorer takes the same value for every weight at once, from the diagonal
+    of its output law W^H R W; this one-weight form is the closed-form
+    reference the false-alarm and detection tests check the scorer against.
     """
     if not 0.0 < pfa <= 1.0:
         raise ValueError(f"pfa must be in (0, 1], got {pfa}")
@@ -141,7 +144,6 @@ class AlgorithmParams:
     sa_epsilon: float = 0.1
     ka_mode: str = "optimal_eta"
     ka_alpha: float = 0.5
-    ka_eta: float = 0.5
     prior_velocity_fraction: float = bf.PriorPerturbation.velocity_fraction
     prior_cnr_offset_db: float = bf.PriorPerturbation.cnr_offset_db
 
@@ -234,10 +236,7 @@ def _design_ka_mvdr(ctx: DesignContext, r_hat):
     if ctx.prior is None:
         raise ValueError("knowledge-aided design needs a prior in the context")
     p = ctx.params
-    w = bf.ka_mvdr_weights(
-        r_hat, ctx.prior, ctx.steering, mode=p.ka_mode, alpha=p.ka_alpha, eta=p.ka_eta
-    )
-    return w, {}
+    return bf.ka_mvdr_weights(r_hat, ctx.prior, ctx.steering, mode=p.ka_mode, alpha=p.ka_alpha), {}
 
 
 # name -> (design, multiplication count of (m, k, d, b, i_len, iterations))
@@ -412,8 +411,10 @@ def _default_k_grid(k_max: int) -> tuple[int, ...]:
 def _design_into(out: np.ndarray, name: str, ctx: DesignContext, r_hat) -> None:
     """Write algorithm ``name``'s weight into the NaN-filled ``out``. A design
     that raises leaves ``out`` NaN, which every scorer counts as a failed
-    design; a stack that raises is designed again one column at a time, so
-    only the columns that fail on their own stay NaN."""
+    design. A stack that raises, because a column fails or because its
+    columns cannot run in lockstep (Krylov chains or ``lr-jio`` pools that
+    part), is designed again one column at a time, so only the columns that
+    fail on their own stay NaN."""
     try:
         out[...] = design_algorithm(name, ctx, r_hat).w
     except (NumericalError, np.linalg.LinAlgError):

@@ -44,6 +44,7 @@ class TestParsing:
         assert cfg.cnr_db is None
 
     def test_jammer_sections_replace_defaults(self):
+        # each [jammer] section is a section of its own, so both set the same keys
         text = "[jammer]\nazimuth_deg = 10\njnr_db = 25\n[jammer]\nazimuth_deg = -10\njnr_db = 30\n"
         cfg, _, _ = parse_config_text(text)
         assert [(j.azimuth_deg, j.jnr_db) for j in cfg.jammers] == [(10.0, 25.0), (-10.0, 30.0)]
@@ -100,6 +101,15 @@ class TestValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="fft"):
             parse_config_text("[experiment]\nalgorithms = smi, fft\n")
+
+    def test_a_key_set_twice_in_one_section_is_rejected(self):
+        for key, line, text in (
+            ("num_sensors", 3, "num_sensors = 4\nprf_hz = 600\nnum_sensors = 6\n"),
+            ("runs", 3, "[experiment]\nruns = 2\nruns = 5\n"),
+            ("snr_db", 5, "[target]\nsnr_db = 3\n[experiment]\n[target]\nsnr_db = 4\n"),
+        ):
+            with pytest.raises(ConfigError, match=f"line {line}: .*'{key}' is set twice"):
+                parse_config_text(text)
 
     def test_incomplete_jammer(self):
         with pytest.raises(ConfigError, match="jnr_db"):
@@ -196,6 +206,7 @@ class TestExperimentSpec:
             ("iterations", "[experiment]\niterations = 0\n"),
             ("evd_selection", "[experiment]\nevd_selection = bogus\n"),
             ("ka_mode", "[experiment]\nka_mode = bogus\n"),
+            ("ka_mode", "[experiment]\nka_mode = fixed_eta\n"),
             ("sa_penalty", "[experiment]\nsa_penalty = -1\n"),
             ("sa_penalty", "[experiment]\nsa_penalty = none\n"),
             ("sa_epsilon", "[experiment]\nsa_epsilon = 0\n"),

@@ -385,6 +385,32 @@ class TestStackedDesigns:
                 np.testing.assert_array_equal(weights[ai, :, n], single.w, err_msg=name)
 
 
+    def test_a_stack_whose_jio_pools_part_is_designed_per_column(self):
+        # at rank = M, the unit-vector column e0 finds the pool's identity
+        # column e0 already spanned while the other columns take it: the
+        # stacked design raises, and the run loop designs each column alone
+        cfg = scene.RadarConfig(
+            num_sensors=4, num_pulses=4, cnr_db=30.0,
+            jammers=(scene.JammerSpec(-30.0, 30.0),), clutter_patches=61,
+        )
+        tgt = scene.TargetSpec()
+        spec = ExperimentSpec(algorithms=("lr-jio",), rank=16)
+        ctx = ev._make_context(cfg, tgt, spec)
+        stacked = self._stack(cfg, tgt, ctx, (-60.0, 0.0, 30.0))
+        stacked.steering[:, 1] = np.eye(16)[0]
+        r_hat = scene.CovarianceSet.estimate(
+            scene.draw_interference_block(ctx.cov, 40, np.random.default_rng(3)), spec.loading
+        )
+        with pytest.raises(NumericalError, match="different candidates"):
+            bf.jio_design(r_hat, stacked.steering, 16, spec.iterations)
+        out = np.full(stacked.steering.shape, np.nan, dtype=complex)
+        ev._design_into(out, "lr-jio", stacked, r_hat)
+        for n, s in enumerate(stacked.steering.T):
+            single = bf.jio_design(r_hat, s, 16, spec.iterations)
+            assert np.isfinite(single).all()
+            assert np.array_equal(out[:, n], single), n
+
+
 class TestAdaptiveRank:
     def test_budget_rule(self):
         assert ev.adaptive_rank(25, 64) == 6  # floor at the small-rank default
@@ -874,6 +900,38 @@ class TestPdVsSnr:
                     se = math.sqrt(expect * (1 - expect) / point.count)
                     assert point.count == spec.trials
                     assert abs(point.value - expect) <= 4.5 * se, (seed, name, point.x)
+
+
+    def test_scorer_thresholds_match_the_closed_form_threshold(self, small_pd, monkeypatch):
+        # the scorer takes each row's threshold from the diagonal of the output
+        # law W^H R W it draws from; each must be detection_threshold of that
+        # row's weight against the true covariance
+        cfg, _ = small_pd
+        tgt = scene.TargetSpec()
+        spec = replace(SMALL_PD_SPEC, algorithms=("optimal", "smi", "lr-jio"), trials=600, designs=3)
+        ctx = ev._make_context(cfg, tgt, spec)
+        laws, weights = [], []
+        real_draw, real_design = scene.draw_interference_block, ev.design_algorithm
+
+        def recording_draw(cov, n, rng):
+            if cov.matrix.shape[0] == len(spec.algorithms):  # a detector-output law
+                laws.append(cov.matrix)
+            return real_draw(cov, n, rng)
+
+        def recording_design(name, design_ctx, r_hat):
+            design = real_design(name, design_ctx, r_hat)
+            weights.append(design.w)
+            return design
+
+        monkeypatch.setattr(scene, "draw_interference_block", recording_draw)
+        monkeypatch.setattr(ev, "design_algorithm", recording_design)
+        ev.run_pd_vs_snr(cfg, tgt, spec)
+        assert len(laws) == len(weights) // len(spec.algorithms) == spec.designs
+        for block, law in enumerate(laws):
+            thresholds = law.diagonal().real * math.log(1.0 / spec.pfa)
+            rows = weights[block * len(spec.algorithms) : (block + 1) * len(spec.algorithms)]
+            expect = [ev.detection_threshold(w, ctx.cov.matrix, spec.pfa) for w in rows]
+            np.testing.assert_allclose(thresholds, expect, rtol=1e-12, atol=0)
 
 
 class TestEmpiricalFalseAlarm:

@@ -6,18 +6,17 @@ PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts. The
 script runs `python -m stapbench.cli` from each on the same studies: the four
 benchmark workloads at full size and seed 13 (config text from
 bench/workloads.py, read only); the small `doppler-m64` study at 2 runs with
-`ka_mode = fixed_alpha` and with `ka_mode = fixed_eta`, the two knowledge-aided
-solve paths that no workload or CLI default runs; the small `detection-m64`
-and `snapshots-m64` studies at `loading = 0` with training sets below M, whose
-failing designs reach the NaN-row path and exit 3; the small `detection-m64`
-study with all eight algorithms, whose detector outputs are drawn from an 8x8
-law with near-identical rows (`ka-mvdr` is close to `smi`); the small
-`snapshots-m64` study at `rank = 12` and at `rank = 16`, where `lr-jidf`
-keeps 2 of its 8 branches and then 1, whose interpolator taps reach past the
-array; and
+`ka_mode = fixed_alpha`, the knowledge-aided solve path that no workload or
+CLI default runs; the small `detection-m64` and `snapshots-m64` studies at
+`loading = 0` with training sets below M, whose failing designs reach the
+NaN-row path and exit 3; the small `detection-m64` study with all eight
+algorithms, whose detector outputs are drawn from an 8x8 law with
+near-identical rows (`ka-mvdr` is close to `smi`); the small `snapshots-m64`
+study at `rank = 12` and at `rank = 16`, where `lr-jidf` keeps 2 of its 8
+branches and then 1, whose interpolator taps reach past the array; and
 `--experiment KIND --seed 7` for every experiment kind, with `--runs 2` for
-the two SINR sweeps (the other kinds reject the flag). Each run has its own
-temporary directory.
+the two SINR sweeps (the other kinds reject the flag): 14 studies. Each run
+has its own temporary directory.
 The parent runs each study once, at OPENBLAS_NUM_THREADS=1; the change runs
 it at =1 and =2, and both of its runs must write the parent's bytes. It
 compares every output file, stdout, stderr and the exit status byte for byte,
@@ -48,13 +47,12 @@ BENCH_SEED = 13
 KINDS = ("sinr-vs-snapshots", "sinr-vs-doppler", "pd-vs-snr", "complexity")
 RUNS_KINDS = KINDS[:2]  # the kinds that take --runs
 THREADS = ("1", "2")
-# small studies and the keys each one changes: the two knowledge-aided solve
-# paths that no workload or CLI default runs; designs that fail (no loading,
+# small studies and the keys each one changes: the knowledge-aided solve path
+# that no workload or CLI default runs; designs that fail (no loading,
 # training sets below M = 16); every algorithm's detector output in one
 # joint draw; ranks at which M = 16 leaves lr-jidf 2 usable branches, and 1
 SMALL_STUDIES = (
     ("doppler-m64", {"runs": 2, "ka_mode": "fixed_alpha"}),
-    ("doppler-m64", {"runs": 2, "ka_mode": "fixed_eta"}),
     ("detection-m64", {"loading": 0.0, "k_train": 8}),
     ("detection-m64", {"algorithms": workloads.ALL_ALGORITHMS}),
     ("snapshots-m64", {"loading": 0.0, "k_grid": (8, 16, 32, 64)}),
