@@ -56,21 +56,19 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError("algorithms must be nonempty")
         if self.kind == "complexity" and set(self.algorithms) == {"optimal"}:
             raise ConfigError("algorithms must name more than optimal: complexity has no optimal curve")
-        for name in self.algorithms:
+        for i, name in enumerate(self.algorithms):
             if name not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r} in algorithms list")
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.trials < 1 or self.designs < 1:
-            raise ConfigError("trials and designs must be >= 1")
+            if name in self.algorithms[:i]:
+                raise ConfigError(f"algorithms names {name!r} twice")
+        for key in ("runs", "trials", "designs", "k_max", "k_train", "rank", "branches", "interp_len", "iterations"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.kind == "pd-vs-snr" and self.trials < self.designs:
             raise ConfigError(f"trials must be >= designs, got trials {self.trials} < designs {self.designs}")
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
         if self.k_grid is not None and not (self.k_grid and all(1 <= k <= self.k_max for k in self.k_grid)):
             raise ConfigError(f"k_grid must be a nonempty list in [1, k_max={self.k_max}], got {self.k_grid}")
-        if self.k_train is not None and self.k_train < 1:
-            raise ConfigError(f"k_train must be >= 1, got {self.k_train}")
         if not self.snr_grid_db:
             raise ConfigError("snr_grid_db must be nonempty")
         if not self.m_grid or min(self.m_grid) < 1:
@@ -90,11 +88,6 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"failure_budget must be in [0, 1], got {self.failure_budget}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for key in ("rank", "branches", "interp_len", "iterations"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.evd_selection not in ("pc", "csm"):
-            raise ConfigError(f"evd_selection must be 'pc' or 'csm', got {self.evd_selection!r}")
         ka_modes = ("fixed_alpha", "optimal_eta")
         if self.ka_mode not in ka_modes:
             raise ConfigError(f"ka_mode must be one of {ka_modes}, got {self.ka_mode!r}")
@@ -202,12 +195,7 @@ def parse_config_text(text: str):
         target = scene.TargetSpec(**values["target"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    spec = ExperimentSpec(**values["experiment"])
-    for key in ("evd_rank", "krylov_rank"):
-        rank = getattr(spec, key)
-        if rank is not None and not 1 <= rank <= cfg.size:
-            raise ConfigError(f"{key} must be in [1, M={cfg.size}], got {rank}")
-    return cfg, target, spec
+    return cfg, target, ExperimentSpec(**values["experiment"])
 
 
 def parse_config(path):

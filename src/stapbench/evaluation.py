@@ -128,18 +128,15 @@ class AlgorithmParams:
     """Experiment-level hyperparameters shared by the design dispatch.
 
     ``rank`` drives the joint-optimization and branch designs; the
-    eigenvector and Krylov designs default to a data-driven rank (an
+    eigenvector and Krylov designs run at a data-driven rank (an
     adapted-degrees-of-freedom budget of about one fifth of the training
-    set) unless pinned explicitly.
+    set).
     """
 
     rank: int = 6
     branches: int = 8
     interp_len: int = 8
     iterations: int = 5
-    evd_selection: str = "csm"
-    evd_rank: int | None = None
-    krylov_rank: int | None = None
     sa_penalty: float = 1.0  # in units of the scene's noise power
     sa_epsilon: float = 0.1
     ka_mode: str = "optimal_eta"
@@ -182,61 +179,58 @@ class Design:
     multiplication_count: int
 
 
-# Each design maps (context, estimated covariance) to the weight, in the shape
-# of the context's steering, and the sizes the multiplication count of one
-# design depends on; the covariance is a
+def _sizes(m: int, params: AlgorithmParams) -> dict:
+    """The sizes a design of dimension ``m`` runs at, keyed as
+    :func:`multiplication_count` takes them: D = min(``rank``, M),
+    I = min(``interp_len``, M), B' the branches whose decimation pattern
+    repeats no index, and the iteration count."""
+    d = min(params.rank, m)
+    b = len(bf.decimation_pattern(m, d, params.branches))
+    return dict(d=d, b=b, i_len=min(params.interp_len, m), iterations=params.iterations)
+
+
+# Each design maps (context, estimated covariance, sizes from _sizes) to the
+# weight, in the shape of the context's steering; the covariance is a
 # scene.CovarianceSet that holds its training block. They reach the beamformers
 # through the ``bf`` module so that a wrapper installed on a ``bf`` function
 # sees every call.
 
 
-def _design_optimal(ctx: DesignContext, r_hat):
-    return bf.mvdr_weights(ctx.cov, ctx.steering), {}
+def _design_optimal(ctx: DesignContext, r_hat, sizes):
+    return bf.mvdr_weights(ctx.cov, ctx.steering)
 
 
-def _design_smi(ctx: DesignContext, r_hat):
-    return bf.mvdr_weights(r_hat, ctx.steering), {}
+def _design_smi(ctx: DesignContext, r_hat, sizes):
+    return bf.mvdr_weights(r_hat, ctx.steering)
 
 
-def _design_lr_evd(ctx: DesignContext, r_hat):
-    p, s, k = ctx.params, ctx.steering, r_hat.snapshots.shape[1]
-    rank = p.evd_rank if p.evd_rank is not None else adaptive_rank(k, len(s))
-    return bf.lr_mvdr_weights(bf.evd_basis(r_hat, s, rank, p.evd_selection), r_hat, s), {"d": rank}
+def _design_lr_evd(ctx: DesignContext, r_hat, sizes):
+    return bf.lr_mvdr_weights(bf.evd_basis(r_hat, ctx.steering, sizes["d"], "csm"), r_hat, ctx.steering)
 
 
-def _design_lr_krylov(ctx: DesignContext, r_hat):
-    p, s, k = ctx.params, ctx.steering, r_hat.snapshots.shape[1]
-    rank = p.krylov_rank if p.krylov_rank is not None else adaptive_rank(k, len(s))
-    return bf.lr_mvdr_weights(bf.krylov_basis(r_hat, s, rank), r_hat, s), {"d": rank}
+def _design_lr_krylov(ctx: DesignContext, r_hat, sizes):
+    return bf.lr_mvdr_weights(bf.krylov_basis(r_hat, ctx.steering, sizes["d"]), r_hat, ctx.steering)
 
 
-def _design_lr_jio(ctx: DesignContext, r_hat):
-    p, s = ctx.params, ctx.steering
-    rank = min(p.rank, len(s))
-    return bf.jio_design(r_hat, s, rank, p.iterations), {"d": rank, "iterations": p.iterations}
+def _design_lr_jio(ctx: DesignContext, r_hat, sizes):
+    return bf.jio_design(r_hat, ctx.steering, sizes["d"], sizes["iterations"])
 
 
-def _design_lr_jidf(ctx: DesignContext, r_hat):
-    p, s = ctx.params, ctx.steering
-    m = len(s)
-    rank, interp_len = min(p.rank, m), min(p.interp_len, m)
-    branches = len(bf.decimation_pattern(m, rank, p.branches))
-    w = bf.jidf_design(r_hat, s, branches, interp_len, rank, p.iterations)
-    return w, {"d": rank, "b": branches, "i_len": interp_len, "iterations": p.iterations}
+def _design_lr_jidf(ctx: DesignContext, r_hat, sizes):
+    return bf.jidf_design(r_hat, ctx.steering, sizes["b"], sizes["i_len"], sizes["d"], sizes["iterations"])
 
 
-def _design_sa_mvdr(ctx: DesignContext, r_hat):
+def _design_sa_mvdr(ctx: DesignContext, r_hat, sizes):
     p = ctx.params
     penalty = p.sa_penalty * ctx.cfg.noise_power
-    w = bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon, p.iterations)
-    return w, {"iterations": p.iterations}
+    return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon, sizes["iterations"])
 
 
-def _design_ka_mvdr(ctx: DesignContext, r_hat):
+def _design_ka_mvdr(ctx: DesignContext, r_hat, sizes):
     if ctx.prior is None:
         raise ValueError("knowledge-aided design needs a prior in the context")
     p = ctx.params
-    return bf.ka_mvdr_weights(r_hat, ctx.prior, ctx.steering, mode=p.ka_mode, alpha=p.ka_alpha), {}
+    return bf.ka_mvdr_weights(r_hat, ctx.prior, ctx.steering, mode=p.ka_mode, alpha=p.ka_alpha)
 
 
 # name -> (design, multiplication count of (m, k, d, b, i_len, iterations))
@@ -293,8 +287,8 @@ def multiplication_count(
       loaded covariance once into a (B, D*I, D*I) tensor and alternates on
       it;
     * ``lr-evd``/``lr-krylov``: :func:`run_complexity_sweep` charges them at
-      D = min(``rank``, M), while their designs run at the adaptive rank or a pinned
-      one (13 at K = M = 64): at M = 64 the sweep counts ``lr-krylov`` at
+      D = min(``rank``, M), while their designs run at the adaptive rank
+      (13 at K = M = 64): at M = 64 the sweep counts ``lr-krylov`` at
       289,240 against the design's 328,405.
     """
     if m < 1:
@@ -326,13 +320,15 @@ def design_algorithm(name: str, ctx: DesignContext, r_hat: scene.CovarianceSet) 
     """
     design, _ = _table_entry(name)
     s = ctx.steering
+    m, k = len(s), r_hat.snapshots.shape[1]
+    sizes = _sizes(m, ctx.params)
+    if name in ("lr-evd", "lr-krylov"):
+        sizes["d"] = adaptive_rank(k, m)
     chunks = [ctx] if s.ndim == 1 else [
         replace(ctx, steering=s[:, i : i + STACK_CHUNK]) for i in range(0, s.shape[1], STACK_CHUNK)
     ]
-    designs = [design(chunk, r_hat) for chunk in chunks]
-    m, k = len(s), r_hat.snapshots.shape[1]
-    count = s.size // m * multiplication_count(name, m, k_snapshots=k, **designs[0][1])
-    return Design(np.concatenate([w for w, _ in designs], axis=-1), count)
+    w = np.concatenate([design(chunk, r_hat, sizes) for chunk in chunks], axis=-1)
+    return Design(w, s.size // m * multiplication_count(name, m, k_snapshots=k, **sizes))
 
 
 def _make_context(cfg, target, spec) -> DesignContext:
@@ -565,17 +561,15 @@ def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec)
     """Multiplication counts over ``m_grid`` for every algorithm but the
     clairvoyant ``optimal`` bound, with the training set scaled to the problem
     (K = M), which keeps the covariance-formation term commensurate with the
-    solve terms across the grid. Every algorithm is charged at the sizes the
-    designs clamp to M, D = min(``rank``, M) and I = min(``interp_len``, M),
-    and ``lr-jidf`` for the branches its design runs at each M, those whose
-    decimation pattern repeats no index. The scene and the target are not
-    used.
+    solve terms across the grid. Every algorithm is charged at the sizes its
+    designs run at (:func:`_sizes`), with ``lr-evd`` and ``lr-krylov`` at
+    D = min(``rank``, M), the paper's model, not at their adaptive rank. The
+    scene and the target are not used.
     """
     _require_kind(spec, "complexity")
     curves = {name: [] for name in spec.algorithms if name != "optimal"}
     for m in _ascending(spec.m_grid, int):
-        sizes = dict(d=min(spec.rank, m), i_len=min(spec.interp_len, m), iterations=spec.iterations)
-        sizes["b"] = len(bf.decimation_pattern(m, sizes["d"], spec.branches))
+        sizes = _sizes(m, spec)
         for name, points in curves.items():
             points.append(CurvePoint(m, multiplication_count(name, m, **sizes), 0.0, 1))
     return ExperimentResult(spec.kind, "multiplications", curves)

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
 from stapbench import beamformers as bf
 from stapbench import evaluation as ev
@@ -57,21 +58,23 @@ def snapshot_sweep():
     return result, time.monotonic() - start
 
 
+DETECTION_SPEC = ExperimentSpec(
+    kind="pd-vs-snr",
+    algorithms=("optimal", "smi", "lr-jio", "lr-jidf"),
+    snr_grid_db=tuple(np.arange(-4.0, 41.0, 1.0)),
+    k_train=200,
+    trials=100_000,
+    pfa=1e-3,
+    seed=SEED,
+    designs=20,
+    loading=0.01,
+)
+
+
 @pytest.fixture(scope="module")
 def detection_sweep():
     start = time.monotonic()
-    spec = ExperimentSpec(
-        kind="pd-vs-snr",
-        algorithms=("optimal", "smi", "lr-jio", "lr-jidf"),
-        snr_grid_db=tuple(np.arange(-4.0, 41.0, 1.0)),
-        k_train=200,
-        trials=100_000,
-        pfa=1e-3,
-        seed=SEED,
-        designs=20,
-        loading=0.01,
-    )
-    result = ev.run_pd_vs_snr(CFG, TARGET, spec)
+    result = ev.run_pd_vs_snr(CFG, TARGET, DETECTION_SPEC)
     return result, time.monotonic() - start
 
 
@@ -105,6 +108,19 @@ def snr_required_for_pd(result, name, level=0.9):
     span = pds[hi] - pds[lo]
     frac = 0.0 if span <= 0 else (level - pds[lo]) / span
     return float(snrs[lo] + frac * (snrs[hi] - snrs[lo]))
+
+
+def rmb_degradation_db(k, m, pfa, level=0.9):
+    """SNR that unloaded SMI needs over the optimal filter to reach Pd = ``level``:
+    the closed-form Pd pfa^(1/(1+rho*SINR)) averaged over the Reed-Mallett-Brennan
+    loss rho ~ Beta(K-M+2, M-1), by 1-D quadrature."""
+    loss = stats.beta(k - m + 2, m - 1)
+    clairvoyant = math.log(pfa) / math.log(level) - 1.0
+    smi = optimize.brentq(
+        lambda s: loss.expect(lambda rho: pfa ** (1.0 / (1.0 + rho * s))) - level,
+        clairvoyant, 100.0 * clairvoyant, xtol=1e-12,
+    )
+    return 10.0 * math.log10(smi / clairvoyant)
 
 
 def test_final_sinr_ordering(snapshot_sweep):
@@ -155,8 +171,10 @@ def test_detection_gap(detection_sweep):
         problems.append(f"smi degradation {smi_gap:.2f} dB outside [2, 8]")
     if elapsed >= 900.0:
         problems.append(f"runtime {elapsed:.0f}s >= 900s")
+    rmb = rmb_degradation_db(DETECTION_SPEC.k_train, CFG.size, DETECTION_SPEC.pfa)
     detail = (
-        ", ".join(f"{n}@0.9={v:.2f} dB" for n, v in required.items()) + f"; {elapsed:.0f}s"
+        ", ".join(f"{n}@0.9={v:.2f} dB" for n, v in required.items())
+        + f"; smi degradation {smi_gap:.2f} dB, RMB law {rmb:.3f} dB; {elapsed:.0f}s"
     )
     announce("detection-gap placement at Pd=0.9", not problems, detail)
     assert not problems, "; ".join(problems)

@@ -190,6 +190,10 @@ class TestExitCodes:
             (TOY_SCENE.replace("lr-jio", "lr-jidf") + "branches = 0\n", "branches"),
             (TOY_SCENE.replace("lr-jio", "ka-mvdr") + "ka_eta = 5\n", "ka_eta"),
             (TOY_SCENE + "runs = 5\n", "'runs' is set twice"),
+            (TOY_SCENE.replace("lr-jio", "smi"), "algorithms names 'smi' twice"),
+            (TOY_SCENE.replace("lr-jio", "lr-evd") + "evd_rank = 2\n", "evd_rank"),
+            (TOY_SCENE.replace("lr-jio", "lr-krylov") + "krylov_rank = 2\n", "krylov_rank"),
+            (TOY_SCENE.replace("lr-jio", "lr-evd") + "evd_selection = pc\n", "evd_selection"),
             ("platform_height_m = 9000\n", "platform_height_m"),
             ("range_ambiguities = 2\n", "range_ambiguities"),
         ):

@@ -220,6 +220,7 @@ class TestExperimentSpec:
             ("k_grid", "[experiment]\nk_max = 16\nk_grid =\n"),
             ("algorithms", "[experiment]\nkind = complexity\nalgorithms = optimal\n"),
             ("algorithms", "[experiment]\nkind = complexity\nalgorithms = optimal, optimal\n"),
+            ("algorithms.*'smi' twice", "[experiment]\nalgorithms = smi, smi, optimal\n"),
         ):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)

@@ -837,12 +837,12 @@ class TestPdVsSnr:
         assert [p.value for p in again.curves["smi"]] == [p.value for p in result.curves["smi"]]
 
     def test_algorithms_of_a_block_share_every_trial(self, small_pd, monkeypatch):
-        # at evd_rank = M = 6, lr-evd is smi, so a draw shared by the algorithms
-        # of a block gives the two identical counts, while independent draws
-        # differ by binomial noise; optimal differs from smi by 21,049 counts
-        # summed over the grid, so the rows are not one draw copied
+        # at M = 6 the adaptive rank is M, so lr-evd is smi, and a draw shared
+        # by the algorithms of a block gives the two identical counts, while
+        # independent draws differ by binomial noise; optimal differs from smi
+        # by 21,049 counts summed over the grid, so the rows are not one draw copied
         cfg, _ = small_pd
-        spec = replace(SMALL_PD_SPEC, algorithms=("smi", "lr-evd", "optimal"), evd_rank=6)
+        spec = replace(SMALL_PD_SPEC, algorithms=("smi", "lr-evd", "optimal"))
         result = ev.run_pd_vs_snr(cfg, scene.TargetSpec(), spec)
         counts = {
             name: np.array([round(p.value * p.count) for p in points]) for name, points in result.curves.items()

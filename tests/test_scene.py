@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from stapbench import linalg, scene
 
@@ -107,6 +108,35 @@ class TestClutterCovariance:
         vals = np.linalg.eigvalsh(rc)
         count = int((vals > 1e-6 * vals.max()).sum())
         assert count == 23
+
+    @pytest.mark.parametrize(
+        "overrides",
+        (
+            {},
+            {"num_sensors": 5},
+            {"num_pulses": 11},
+            {"platform_velocity_mps": 30.0},  # beta 0.60
+            {"platform_velocity_mps": 150.0},  # beta 3.00
+            {"element_spacing_m": 0.8 * TABLE_CFG.wavelength_m},
+            {"element_spacing_m": 0.3 * TABLE_CFG.wavelength_m},
+            {"cnr_db": 25.0, "noise_power": 2.0},
+            {"clutter_patches": 45},  # the fewest that meet the bound on this scene
+            {"clutter_patches": 91},
+            {"clutter_patches": 721},
+        ),
+    )
+    def test_matches_the_continuous_ring(self, overrides):
+        # the patches sample azimuth on a midpoint grid, which converges
+        # geometrically to the continuous ring P_c J0(2 pi (d/lambda)(dn + beta dj))
+        # for sensor lag dn and pulse lag dj (index n*J + j)
+        cfg = replace(TABLE_CFG, **overrides)
+        n, j = np.arange(cfg.num_sensors), np.arange(cfg.num_pulses)
+        lag_n = (n[:, None] - n)[:, None, :, None]
+        lag_j = (j[:, None] - j)[None, :, None, :]
+        x = 2.0 * np.pi * cfg.spacing_m / cfg.wavelength_m * (lag_n + cfg.clutter_slope * lag_j)
+        power = cfg.noise_power * 10.0 ** (cfg.cnr_db / 10.0)
+        ring = power * j0(x).reshape(cfg.size, cfg.size)
+        assert np.abs(scene.clutter_covariance(cfg) - ring).max() <= 1e-12 * power
 
     def test_disabled_clutter(self):
         cfg = scene.RadarConfig(cnr_db=None)

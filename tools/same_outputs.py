@@ -13,10 +13,12 @@ NaN-row path and exit 3; the small `detection-m64` study with all eight
 algorithms, whose detector outputs are drawn from an 8x8 law with
 near-identical rows (`ka-mvdr` is close to `smi`); the small `snapshots-m64`
 study at `rank = 12` and at `rank = 16`, where `lr-jidf` keeps 2 of its 8
-branches and then 1, whose interpolator taps reach past the array; and
-`--experiment KIND --seed 7` for every experiment kind, with `--runs 2` for
-the two SINR sweeps (the other kinds reject the flag): 14 studies. Each run
-has its own temporary directory.
+branches and then 1, whose interpolator taps reach past the array; a
+`complexity` study at `m_grid = 4, 6, 9, 16`, below `rank` and `interp_len`,
+where the sweep charges D, I and B' at the sizes they clamp to and `lr-jidf`
+at fewer branches; and `--experiment KIND --seed 7` for every experiment
+kind, with `--runs 2` for the two SINR sweeps (the other kinds reject the
+flag): 15 studies. Each run has its own temporary directory.
 The parent runs each study once, at OPENBLAS_NUM_THREADS=1; the change runs
 it at =1 and =2, and both of its runs must write the parent's bytes. It
 compares every output file, stdout, stderr and the exit status byte for byte,
@@ -50,7 +52,10 @@ THREADS = ("1", "2")
 # small studies and the keys each one changes: the knowledge-aided solve path
 # that no workload or CLI default runs; designs that fail (no loading,
 # training sets below M = 16); every algorithm's detector output in one
-# joint draw; ranks at which M = 16 leaves lr-jidf 2 usable branches, and 1
+# joint draw; ranks at which M = 16 leaves lr-jidf 2 usable branches, and 1.
+# COMPLEXITY_STUDY charges every design below rank = 6 and interp_len = 8,
+# where D, I and lr-jidf's branch count B' clamp (B' = 1, 1, 2, 5); the
+# default complexity grid starts at M = 32, where none does
 SMALL_STUDIES = (
     ("doppler-m64", {"runs": 2, "ka_mode": "fixed_alpha"}),
     ("detection-m64", {"loading": 0.0, "k_train": 8}),
@@ -59,6 +64,7 @@ SMALL_STUDIES = (
     ("snapshots-m64", {"rank": 12}),
     ("snapshots-m64", {"rank": 16}),
 )
+COMPLEXITY_STUDY = "[experiment]\nkind = complexity\nm_grid = 4, 6, 9, 16\nout_dir = out\n"
 
 
 def studies():
@@ -70,6 +76,7 @@ def studies():
         study = replace(small, experiment=dict(small.experiment, **keys))
         label = f"{name} small, " + ", ".join(f"{key}={value}" for key, value in keys.items())
         yield label, study.config_text(BENCH_SEED, "out"), ["--config", "study.cfg"]
+    yield "complexity, m_grid=4, 6, 9, 16", COMPLEXITY_STUDY, ["--config", "study.cfg"]
     for kind in KINDS:
         args = [kind, *(["--runs", "2"] if kind in RUNS_KINDS else []), "--seed", "7"]
         yield " ".join(args), None, ["--experiment", *args, "--out", "out"]
