@@ -545,8 +545,12 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
             quadratic = t.real**2 + t.imag**2
             linear = 2.0 * (t.real * g.real + t.imag * g.imag)
             constant = g.real**2 + g.imag**2 - thresholds[:, None]
-            for gi, a in enumerate(amp):
-                counts[:, gi] += (a * a * quadratic + a * linear + constant > 0).sum(axis=1)
+            buf, term = np.empty_like(quadratic), np.empty_like(quadratic)
+            for gi, a in enumerate(amp):  # (a*a*quadratic + a*linear) + constant, in place
+                np.multiply(a * a, quadratic, out=buf)
+                buf += np.multiply(a, linear, out=term)
+                buf += constant
+                counts[:, gi] += np.count_nonzero(buf > 0, axis=1)
         counts = counts.astype(float)
         counts[~ok] = np.nan  # a failed design
         return counts
