@@ -9,11 +9,11 @@ at once, and batched products carry the columns as a leading axis, each
 column computed as its own vector would be. The covariance is either
 an array, which the design validates once on entry and wraps, or a
 :class:`scene.CovarianceSet`, which passes through. One rule solves: a
-``CovarianceSet`` (sample, true or prior covariance) through its own
-``solve``, whose Cholesky factor, like its eigendecomposition, is kept for
-the set's life and shared by every design that reads it; a matrix a design
-forms itself, Hermitian by construction, through the unchecked
-``linalg.hpd_solve`` (LAPACK ``zposv``).
+``CovarianceSet`` (sample or true covariance) through its own ``solve``,
+whose Cholesky factor, like its eigendecomposition, is kept for the set's
+life and shared by every design that reads it; a matrix a design forms
+itself, Hermitian by construction (the knowledge-aided blend among them),
+through the unchecked ``linalg.hpd_solve`` (LAPACK ``zposv``).
 
 Every design ends in one scaling step (``_distortionless``): a direction x
 becomes x / (s^H x), and the design raises ``NumericalError`` when
@@ -31,7 +31,8 @@ Families implemented:
   joint basis/weight optimization (``jio_design``), and the
   interpolation/decimation branch scheme (``jidf_design``);
 * sparsity-aware reweighted design (``sa_mvdr_weights``);
-* knowledge-aided covariance blending (``ka_prior``/``ka_mvdr_weights``).
+* knowledge-aided covariance blending (``ka_prior``, ``ka_blend``,
+  ``ka_mvdr_weights``), whose blend weight comes from the training block.
 """
 
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ __all__ = [
     "decimation_pattern",
     "sa_mvdr_weights",
     "ka_prior",
+    "ka_blend",
     "ka_mvdr_weights",
 ]
 
@@ -456,35 +458,33 @@ def ka_prior(
     return scene.CovarianceSet(scene.clutter_covariance(shifted) + scene.noise_covariance(cfg))
 
 
-def ka_mvdr_weights(r_hat, prior: scene.CovarianceSet, s, mode: str, alpha: float | None = None) -> np.ndarray:
-    """Knowledge-aided minimum-variance weights.
+def ka_blend(r_hat, prior: scene.CovarianceSet) -> tuple[float, np.ndarray]:
+    """The knowledge-aided blend R^ + lambda*(R0 - R^) of the loaded sample
+    covariance R^ and the prior R0, Hermitian by construction, and lambda.
 
-    Modes:
-        ``fixed_alpha``: design on the blended covariance
-            alpha*R_prior + (1-alpha)*R_hat.
-        ``optimal_eta``: blend the two solutions,
-            w proportional to eta*R_prior^-1 s + (1-eta)*R_hat^-1 s, with eta
-            minimizing the output power against ``r_hat``, the best available
-            stand-in for the unknown truth, clamped to [0, 1], for each column
-            of an (M, N) steering stack; a vanishing curvature falls back to
-            eta = 0.5.
-
-    Every solve takes all N columns of a stack in one call.
+    lambda = clamp(rho / ||R0 - R^||_F^2, 0, 1), or 0 when R0 = R^, is the
+    shrinkage weight of Stoica, Li, Zhu & Guerci (IEEE TSP 56(6), 2008), with
+    rho = sum_k ||x_k||^4 / K^2 - ||R^||_F^2 / K estimated from the training
+    snapshots x_k (Ledoit & Wolf, J. Multivariate Anal. 88(2), 2004): it falls
+    as K grows. ``r_hat`` must hold its block (``CovarianceSet.estimate``).
     """
-    rows = _rows(s)
     cov = scene.CovarianceSet.of(r_hat)
-    if mode == "fixed_alpha":
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise ValueError("fixed_alpha mode needs alpha in [0, 1]")
-        blend = alpha * prior.matrix + (1.0 - alpha) * cov.matrix  # Hermitian by construction
-        return _columns(_distortionless(rows, linalg.hpd_solve(blend, rows.T).T), s)
-    if mode != "optimal_eta":
-        raise ValueError(f"unknown knowledge-aided mode {mode!r}")
-    data_dir = cov.solve(rows.T).T
-    prior_dir = prior.solve(rows.T).T
-    diff = prior_dir - data_dir
-    curvature = _form(diff, cov.matrix, diff)
-    numer = _form(data_dir - prior_dir, cov.matrix, data_dir)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.where(curvature <= 1e-300, 0.5, np.minimum(np.maximum(numer / curvature, 0.0), 1.0))[:, None]
-    return _columns(_distortionless(rows, eta * prior_dir + (1.0 - eta) * data_dir), s)
+    if cov.snapshots is None:
+        raise ValueError("the knowledge-aided blend needs the training block: pass CovarianceSet.estimate(...)")
+    r, k = cov.matrix, cov.snapshots.shape[1]
+    power = np.vecdot(cov.snapshots, cov.snapshots, axis=0).real  # ||x_k||^2
+    rho = power @ power / k**2 - np.vdot(r, r).real / k
+    blend = prior.matrix - r
+    distance = np.vdot(blend, blend).real
+    lam = min(max(rho / distance, 0.0), 1.0) if distance > 0 else 0.0
+    blend *= lam
+    blend += r
+    return lam, blend
+
+
+def ka_mvdr_weights(r_hat, prior: scene.CovarianceSet, s) -> np.ndarray:
+    """Knowledge-aided minimum-variance weights: MVDR on the :func:`ka_blend`
+    of ``r_hat`` and ``prior``, every column of an (M, N) steering stack in one solve."""
+    rows = _rows(s)
+    _, blend = ka_blend(r_hat, prior)
+    return _columns(_distortionless(rows, linalg.hpd_solve(blend, rows.T).T), s)

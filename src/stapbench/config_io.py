@@ -88,15 +88,10 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"failure_budget must be in [0, 1], got {self.failure_budget}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        ka_modes = ("fixed_alpha", "optimal_eta")
-        if self.ka_mode not in ka_modes:
-            raise ConfigError(f"ka_mode must be one of {ka_modes}, got {self.ka_mode!r}")
         if self.sa_penalty < 0.0:
             raise ConfigError(f"sa_penalty must be >= 0, got {self.sa_penalty}")
         if self.sa_epsilon <= 0.0:
             raise ConfigError(f"sa_epsilon must be > 0, got {self.sa_epsilon}")
-        if not 0.0 <= self.ka_alpha <= 1.0:
-            raise ConfigError(f"ka_alpha must be in [0, 1], got {self.ka_alpha}")
 
     def doppler_grid(self) -> tuple:
         grid, value = [], self.doppler_min_hz

@@ -139,8 +139,6 @@ class AlgorithmParams:
     iterations: int = 5
     sa_penalty: float = 1.0  # in units of the scene's noise power
     sa_epsilon: float = 0.1
-    ka_mode: str = "optimal_eta"
-    ka_alpha: float = 0.5
     prior_velocity_fraction: float = bf.PriorPerturbation.velocity_fraction
     prior_cnr_offset_db: float = bf.PriorPerturbation.cnr_offset_db
 
@@ -157,8 +155,8 @@ def adaptive_rank(k_snapshots: int, m: int) -> int:
 @dataclass(frozen=True)
 class DesignContext:
     """Everything a designer may draw on besides the training data. ``cov``
-    (the true covariance) and ``prior`` are built once per study and shared
-    by every context ``replace`` derives from it, so each keeps one factor.
+    (the true covariance, factored once) and ``prior`` (blended, not solved)
+    are built once per study and shared by every context ``replace`` makes.
     ``steering`` is one steering vector (M,) or an (M, N) stack of them,
     and ``xi_t`` its target power, a scalar or one per column."""
 
@@ -229,8 +227,7 @@ def _design_sa_mvdr(ctx: DesignContext, r_hat, sizes):
 def _design_ka_mvdr(ctx: DesignContext, r_hat, sizes):
     if ctx.prior is None:
         raise ValueError("knowledge-aided design needs a prior in the context")
-    p = ctx.params
-    return bf.ka_mvdr_weights(r_hat, ctx.prior, ctx.steering, mode=p.ka_mode, alpha=p.ka_alpha)
+    return bf.ka_mvdr_weights(r_hat, ctx.prior, ctx.steering)
 
 
 # name -> (design, multiplication count of (m, k, d, b, i_len, iterations))
@@ -289,7 +286,10 @@ def multiplication_count(
     * ``lr-evd``/``lr-krylov``: :func:`run_complexity_sweep` charges them at
       D = min(``rank``, M), while their designs run at the adaptive rank
       (13 at K = M = 64): at M = 64 the sweep counts ``lr-krylov`` at
-      289,240 against the design's 328,405.
+      289,240 against the design's 328,405;
+    * ``ka-mvdr``: it is charged 2*M^3 + M^2, two M x M solves, while
+      :func:`beamformers.ka_mvdr_weights` forms one blend of the prior and
+      the estimate and factors it once per design call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -546,9 +546,8 @@ def run_pd_vs_snr(cfg: scene.RadarConfig, target: scene.TargetSpec, spec) -> Exp
             linear = 2.0 * (t.real * g.real + t.imag * g.imag)
             constant = g.real**2 + g.imag**2 - thresholds[:, None]
             buf, term = np.empty_like(quadratic), np.empty_like(quadratic)
-            for gi, a in enumerate(amp):  # (a*a*quadratic + a*linear) + constant, in place
-                np.multiply(a * a, quadratic, out=buf)
-                buf += np.multiply(a, linear, out=term)
+            for gi, a in enumerate(amp):  # a*a*quadratic + a*linear + constant, in place
+                np.add(np.multiply(a * a, quadratic, out=buf), np.multiply(a, linear, out=term), out=buf)
                 buf += constant
                 counts[:, gi] += np.count_nonzero(buf > 0, axis=1)
         counts = counts.astype(float)

@@ -248,9 +248,8 @@ class CovarianceSet:
     that reads it checks it again or wraps it a second time. The sampling
     factor, the Cholesky factor and the eigendecomposition are each computed
     on first use and kept for the life of the object: every solve against
-    the covariance goes through :meth:`solve`, so the true covariance and the
-    prior are factored once per study and a sample covariance once per
-    estimate.
+    the covariance goes through :meth:`solve`, so the true covariance is
+    factored once per study and a sample covariance once per estimate.
     """
 
     matrix: np.ndarray

@@ -140,6 +140,28 @@ def test_final_sinr_ordering(snapshot_sweep):
     assert not problems, "; ".join(problems)
 
 
+def test_knowledge_aided_blend(snapshot_sweep):
+    # ka-mvdr against smi at the shortest and the longest training set, the
+    # blend weight on run 0's draws at every K, and the margin of the link
+    # ka-mvdr >= sa-mvdr - 0.3 dB of the final-SINR ordering
+    result, _ = snapshot_sweep
+    grid = [int(p.x) for p in result.curves["smi"]]
+    rng = np.random.default_rng(np.random.SeedSequence((SEED, 0)))  # the runner's run 0
+    block = scene.draw_interference_block(scene.total_covariance(CFG), grid[-1], rng)
+    prior = bf.ka_prior(CFG)
+    lams = [bf.ka_blend(scene.CovarianceSet.estimate(block[:, :k], 0.01), prior)[0] for k in grid]
+    means = {name: (sinr_at(result, name, grid[0]), final_sinr(result, name)) for name in ("ka-mvdr", "smi")}
+    margin = final_sinr(result, "ka-mvdr") - (final_sinr(result, "sa-mvdr") - 0.3)
+    ok = means["ka-mvdr"][0] > means["smi"][0] and all(0.0 <= lam <= 1.0 for lam in lams)
+    detail = (
+        ", ".join(f"{n} {a:.2f}/{b:.2f}" for n, (a, b) in means.items())
+        + f" dB at K={grid[0]}/{grid[-1]}; lambda {lams[0]:.3f} -> {lams[-1]:.3f} on run 0"
+        + f" (range {min(lams):.3f}-{max(lams):.3f}); ka-mvdr vs sa-mvdr - 0.3 dB: {margin:+.2f} dB"
+    )
+    announce("knowledge-aided blend beats smi at short training", ok, detail)
+    assert ok, detail
+
+
 def test_smi_near_steady_state_at_k800(snapshot_sweep):
     # at K = 800 >> 2M the sample-matrix design sits well inside 3 dB of the bound
     result, _ = snapshot_sweep
@@ -310,23 +332,18 @@ class TestOracleEquivalences:
         announce("zero-penalty sparse design equals SMI", gap <= 1e-12, f"max gap {gap:.2e}")
         assert gap <= 1e-12
 
-    def test_knowledge_aided_endpoints(self):
+    def test_knowledge_aided_equal_prior_is_smi(self):
+        # a prior equal to the estimate gets blend weight 0: the design is SMI
         rng = np.random.default_rng(102)
         cov = scene.total_covariance(CFG)
-        block = scene.draw_interference_block(cov, 300, rng)
-        r_hat = scene.sample_covariance(block, 0.01)
+        r_hat = scene.CovarianceSet.estimate(scene.draw_interference_block(cov, 300, rng), 0.01)
         s = scene.target_steering(CFG, TARGET)
-        prior = bf.ka_prior(CFG)
-        gap0 = np.abs(
-            bf.ka_mvdr_weights(r_hat, prior, s, mode="fixed_alpha", alpha=0.0)
-            - bf.mvdr_weights(r_hat, s)
-        ).max()
-        gap1 = np.abs(
-            bf.ka_mvdr_weights(r_hat, prior, s, mode="fixed_alpha", alpha=1.0)
-            - bf.mvdr_weights(prior.matrix, s)
-        ).max()
-        ok = gap0 <= 1e-10 and gap1 <= 1e-10
-        announce("knowledge-aided endpoint equivalences", ok, f"gaps {gap0:.1e}/{gap1:.1e}")
+        prior = scene.CovarianceSet(r_hat.matrix.copy())
+        lam = bf.ka_blend(r_hat, prior)[0]
+        smi = bf.mvdr_weights(r_hat, s)
+        gap = np.abs(bf.ka_mvdr_weights(r_hat, prior, s) - smi).max() / np.abs(smi).max()
+        ok = lam == 0.0 and gap <= 1e-12
+        announce("knowledge-aided design with the estimate as prior equals SMI", ok, f"lambda {lam}, gap {gap:.1e}")
         assert ok
 
     def test_branch_scheme_degenerate_case(self):
@@ -370,7 +387,7 @@ class TestOracleEquivalences:
         rng = np.random.default_rng(105)
         cov = scene.total_covariance(CFG)
         block = scene.draw_interference_block(cov, 300, rng)
-        r_hat = scene.sample_covariance(block, 0.01)
+        r_hat = scene.CovarianceSet.estimate(block, 0.01)
         s = scene.target_steering(CFG, TARGET)
         prior = bf.ka_prior(CFG)
         designs = [
@@ -381,7 +398,7 @@ class TestOracleEquivalences:
             bf.jio_design(r_hat, s, 6, 5),
             bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
             bf.sa_mvdr_weights(r_hat, s, 1.0, 0.1, 10),
-            bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta"),
+            bf.ka_mvdr_weights(r_hat, prior, s),
         ]
         worst = max(abs(w.conj() @ s - 1.0) for w in designs)
         announce("distortionless constraint everywhere", worst <= 1e-8, f"worst {worst:.2e}")

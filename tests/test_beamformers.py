@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from stapbench import beamformers as bf
+from stapbench import evaluation as ev
 from stapbench import linalg, scene
+from stapbench.config_io import ExperimentSpec
 from stapbench.linalg import NumericalError
 
 TABLE_CFG = scene.RadarConfig()
@@ -633,38 +635,65 @@ class TestKnowledgeAided:
         rel = np.linalg.norm(prior.matrix - cov.matrix) / np.linalg.norm(cov.matrix)
         assert abs(rel - 0.8845) < 0.0005
 
-    def test_alpha_endpoints(self, table_scene):
+    @staticmethod
+    def _blend_reference(block, loading, prior, s):
+        """The blend weight, the blend and the MVDR weight on it, written out
+        from the formula, one snapshot at a time."""
+        m, k = block.shape
+        r_hat = block @ block.conj().T / k + loading * np.eye(m)
+        rho = sum(np.linalg.norm(block[:, i]) ** 4 for i in range(k)) / k**2 - np.linalg.norm(r_hat) ** 2 / k
+        lam = min(max(rho / np.linalg.norm(prior - r_hat) ** 2, 0.0), 1.0)
+        blend = lam * prior + (1.0 - lam) * r_hat
+        x = np.linalg.solve(blend, s)
+        return lam, blend, x / (s.conj() @ x)
+
+    @pytest.mark.parametrize("k", (10, 200))
+    def test_blend_matches_reference(self, table_scene, k):
+        # the weight inherits the blend's condition number (about 2.5e5 here):
+        # blends that differ in the last bit give weights about 1e-11 apart
         cov, s = table_scene
         prior = bf.ka_prior(TABLE_CFG)
-        block = scene.draw_interference_block(cov, 200, np.random.default_rng(14))
-        r_hat = scene.sample_covariance(block, 0.01)
-        w0 = bf.ka_mvdr_weights(r_hat, prior, s, mode="fixed_alpha", alpha=0.0)
-        np.testing.assert_allclose(w0, bf.mvdr_weights(r_hat, s), atol=1e-10)
-        w1 = bf.ka_mvdr_weights(r_hat, prior, s, mode="fixed_alpha", alpha=1.0)
-        np.testing.assert_allclose(w1, bf.mvdr_weights(prior.matrix, s), atol=1e-10)
+        block = scene.draw_interference_block(cov, k, np.random.default_rng(14))
+        r_hat = scene.CovarianceSet.estimate(block, 0.01)
+        lam, blend = bf.ka_blend(r_hat, prior)
+        ref_lam, ref_blend, ref_w = self._blend_reference(block, 0.01, prior.matrix, s)
+        assert 0.0 < lam < 1.0
+        assert abs(lam - ref_lam) <= 1e-12
+        assert np.abs(blend - ref_blend).max() <= 1e-12 * np.abs(ref_blend).max()
+        w = bf.ka_mvdr_weights(r_hat, prior, s)
+        tolerance = 1e-12 * np.linalg.cond(ref_blend)
+        assert np.linalg.norm(w - ref_w) <= tolerance * np.linalg.norm(ref_w)
 
-    def test_identical_matrices_fall_back(self, table_scene):
-        # equal prior and estimate leave the eta fit 0/0; the fallback eta = 0.5
-        # keeps the weight finite, and both directions are the MVDR one
+    def test_prior_equal_to_the_estimate_is_smi(self, table_scene):
         cov, s = table_scene
-        prior = scene.CovarianceSet(cov.matrix.copy())
-        w = bf.ka_mvdr_weights(cov.matrix, prior, s, mode="optimal_eta")
-        assert np.all(np.isfinite(w))
-        np.testing.assert_allclose(w, bf.mvdr_weights(cov.matrix, s), atol=1e-10)
+        block = scene.draw_interference_block(cov, 200, np.random.default_rng(15))
+        r_hat = scene.CovarianceSet.estimate(block, 0.01)
+        prior = scene.CovarianceSet(r_hat.matrix.copy())
+        assert bf.ka_blend(r_hat, prior)[0] == 0.0
+        np.testing.assert_allclose(bf.ka_mvdr_weights(r_hat, prior, s), bf.mvdr_weights(r_hat, s), rtol=1e-12)
 
-    def test_optimal_eta_clamped(self, table_scene):
-        cov, s = table_scene
+    def test_blend_weight_falls_with_k(self, table_scene):
+        # on one block of the standard scene, at the default snapshot grid
+        cov, _ = table_scene
         prior = bf.ka_prior(TABLE_CFG)
-        block = scene.draw_interference_block(cov, 300, np.random.default_rng(17))
-        r_hat = scene.sample_covariance(block, 0.01)
-        w = bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta")
-        assert abs(w.conj() @ s - 1.0) <= 1e-8
-        # w is proportional to eta * R_prior^-1 s + (1 - eta) * R_hat^-1 s
-        directions = np.column_stack([np.linalg.solve(prior.matrix, s), np.linalg.solve(r_hat, s)])
-        (a, b), *_ = np.linalg.lstsq(directions, w, rcond=None)
-        np.testing.assert_allclose(directions @ [a, b], w, atol=1e-8 * np.linalg.norm(w))
-        eta = a / (a + b)
-        assert abs(eta.imag) <= 1e-8 and -1e-8 <= eta.real <= 1.0 + 1e-8
+        block = scene.draw_interference_block(cov, 800, np.random.default_rng(16))
+        grid = (10, 16, 26, 43, 70, 114, 186, 302, 492, 800)
+        lams = [bf.ka_blend(scene.CovarianceSet.estimate(block[:, :k], 0.01), prior)[0] for k in grid]
+        assert all(0.0 <= lam <= 1.0 for lam in lams), lams
+        assert all(b < a for a, b in zip(lams, lams[1:])), lams
+
+    def test_bare_array_is_rejected(self, table_scene):
+        cov, s = table_scene
+        with pytest.raises(ValueError, match="training block"):
+            bf.ka_mvdr_weights(cov.matrix, bf.ka_prior(TABLE_CFG), s)
+
+    def test_mean_sinr_above_smi_at_small_k(self):
+        # 10 runs on the standard scene, K <= 26 < 2M: where the sample
+        # covariance alone is far from steady state, the prior carries the design
+        spec = ExperimentSpec(algorithms=("smi", "ka-mvdr"), k_max=26, k_grid=(10, 16, 26), runs=10)
+        result = ev.run_sinr_vs_snapshots(TABLE_CFG, TABLE_TGT, spec)
+        for smi, ka in zip(result.curves["smi"], result.curves["ka-mvdr"]):
+            assert ka.value > smi.value, (smi.x, smi.value, ka.value)
 
 
 class TestCrossDesignProperties:
@@ -672,7 +701,7 @@ class TestCrossDesignProperties:
         cov, s = table_scene
         rng = np.random.default_rng(20)
         block = scene.draw_interference_block(cov, 300, rng)
-        r_hat = scene.sample_covariance(block, 0.01)
+        r_hat = scene.CovarianceSet.estimate(block, 0.01)
         prior = bf.ka_prior(TABLE_CFG)
         designs = {
             "mvdr": bf.mvdr_weights(r_hat, s),
@@ -681,7 +710,7 @@ class TestCrossDesignProperties:
             "lr-jio": bf.jio_design(r_hat, s, 6, 5),
             "lr-jidf": bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
             "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 1.0, 0.1, 10),
-            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta"),
+            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s),
         }
         for name, w in designs.items():
             assert abs(w.conj() @ s - 1.0) <= 1e-8, name
@@ -691,7 +720,7 @@ class TestCrossDesignProperties:
         rng = np.random.default_rng(21)
         bound = sinr_linear(bf.mvdr_weights(cov.matrix, s), cov.matrix, s)
         block = scene.draw_interference_block(cov, 200, rng)
-        r_hat = scene.sample_covariance(block, 0.01)
+        r_hat = scene.CovarianceSet.estimate(block, 0.01)
         prior = bf.ka_prior(TABLE_CFG)
         candidates = {
             "mvdr": bf.mvdr_weights(r_hat, s),
@@ -699,7 +728,7 @@ class TestCrossDesignProperties:
             "lr-jio": bf.jio_design(r_hat, s, 6, 5),
             "lr-jidf": bf.jidf_design(scene.CovarianceSet.estimate(block, 0.0), s, 8, 8, 6, 5),
             "sa-mvdr": bf.sa_mvdr_weights(r_hat, s, 0.5, 0.1, 10),
-            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s, mode="optimal_eta"),
+            "ka-mvdr": bf.ka_mvdr_weights(r_hat, prior, s),
         }
         for name, w in candidates.items():
             assert sinr_linear(w, cov.matrix, s) <= bound * (1 + 1e-9), name
@@ -737,9 +766,7 @@ class TestCrossDesignProperties:
 BOUNDARY_DESIGNS = {
     "mvdr_weights": lambda r, s: bf.mvdr_weights(r, s),
     "sa_mvdr_weights": lambda r, s: bf.sa_mvdr_weights(r, s, 1.0, 0.1, 10),
-    "ka_mvdr_weights": lambda r, s: bf.ka_mvdr_weights(
-        r, scene.CovarianceSet(np.eye(s.size)), s, mode="optimal_eta"
-    ),
+    "ka_mvdr_weights": lambda r, s: bf.ka_mvdr_weights(r, scene.CovarianceSet(np.eye(s.size)), s),
     "jio_design": lambda r, s: bf.jio_design(r, s, 2, 2),
     "evd_basis": lambda r, s: bf.evd_basis(r, s, 2, "pc"),
     "krylov_basis": lambda r, s: bf.krylov_basis(r, s, 2),

@@ -189,6 +189,7 @@ class TestExitCodes:
             (TOY_SCENE + "doppler_min_hz = 50\ndoppler_max_hz = -50\n", "doppler_min_hz"),
             (TOY_SCENE.replace("lr-jio", "lr-jidf") + "branches = 0\n", "branches"),
             (TOY_SCENE.replace("lr-jio", "ka-mvdr") + "ka_eta = 5\n", "ka_eta"),
+            (TOY_SCENE.replace("lr-jio", "ka-mvdr") + "ka_alpha = 0.5\n", "ka_alpha"),
             (TOY_SCENE + "runs = 5\n", "'runs' is set twice"),
             (TOY_SCENE.replace("lr-jio", "smi"), "algorithms names 'smi' twice"),
             (TOY_SCENE.replace("lr-jio", "lr-evd") + "evd_rank = 2\n", "evd_rank"),

@@ -207,6 +207,7 @@ class TestExperimentSpec:
             ("evd_selection", "[experiment]\nevd_selection = bogus\n"),
             ("ka_mode", "[experiment]\nka_mode = bogus\n"),
             ("ka_mode", "[experiment]\nka_mode = fixed_eta\n"),
+            ("ka_mode", "[experiment]\nka_mode = optimal_eta\n"),
             ("sa_penalty", "[experiment]\nsa_penalty = -1\n"),
             ("sa_penalty", "[experiment]\nsa_penalty = none\n"),
             ("sa_epsilon", "[experiment]\nsa_epsilon = 0\n"),

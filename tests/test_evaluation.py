@@ -745,9 +745,10 @@ class TestSinrVsDoppler:
     )
 
     def test_study_covariances_are_factored_once(self, monkeypatch):
-        # the true covariance (optimal) and the prior (ka-mvdr) live for the
-        # whole study and are solved through their own cached factor: one
-        # factor each for 5 bins x 2 runs, and no one-shot solve on either
+        # the true covariance (optimal) lives for the whole study and is solved
+        # through its own cached factor: one factor for 5 bins x 2 runs, and
+        # no one-shot solve. The prior (ka-mvdr) lives as long but is only
+        # blended with each run's estimate, so it is never factored or solved
         cfg, spec = self.SMALL_DOPPLER_CFG, self.SMALL_DOPPLER_SPEC
         ctx = ev._make_context(cfg, scene.TargetSpec(), spec)
         study = {"true": ctx.cov.matrix, "prior": ctx.prior.matrix}
@@ -770,7 +771,7 @@ class TestSinrVsDoppler:
         monkeypatch.setattr(linalg, "hpd_solve", counting_solve)
         result = ev.run_sinr_vs_doppler(cfg, scene.TargetSpec(), spec)
         assert len(result.curves["optimal"]) == 5
-        assert factored == {"true": 1, "prior": 1}
+        assert factored == {"true": 1, "prior": 0}
         assert solved == {"true": 0, "prior": 0}
 
     def test_validates_each_covariance_once(self, monkeypatch):
