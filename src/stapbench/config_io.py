@@ -12,8 +12,9 @@ carry line numbers.
 from dataclasses import dataclass, fields
 from typing import get_args, get_origin
 
+from . import beamformers as bf
 from . import scene
-from .evaluation import ALGORITHMS, RUNNERS, AlgorithmParams
+from .evaluation import ALGORITHMS, DEFAULT_RANK, RUNNERS
 
 __all__ = ["ConfigError", "ExperimentSpec", "parse_config", "parse_config_text", "serialize_config"]
 
@@ -25,9 +26,10 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentSpec(AlgorithmParams):
-    """Which experiment to run, with what protocol parameters and, through
-    :class:`AlgorithmParams`, with what design hyperparameters."""
+class ExperimentSpec:
+    """Which experiment to run, with what protocol parameters, at what rank
+    (the D of ``lr-jio`` and ``lr-jidf``) and, for ``ka-mvdr``, against what
+    prior. Every other design size is a constant of ``evaluation``."""
 
     kind: str = "sinr-vs-snapshots"
     algorithms: tuple[str, ...] = ALGORITHMS
@@ -44,9 +46,11 @@ class ExperimentSpec(AlgorithmParams):
     pfa: float = 1e-3
     loading: float = 0.01
     m_grid: tuple[int, ...] = (32, 64, 128, 256)
+    rank: int = DEFAULT_RANK
+    prior_velocity_fraction: float = bf.PriorPerturbation.velocity_fraction
+    prior_cnr_offset_db: float = bf.PriorPerturbation.cnr_offset_db
     seed: int = 1234
     out_dir: str = "."
-    failure_budget: float = 0.01
 
     def __post_init__(self):
         scene._require_finite(self, ConfigError)
@@ -61,7 +65,7 @@ class ExperimentSpec(AlgorithmParams):
                 raise ConfigError(f"unknown algorithm {name!r} in algorithms list")
             if name in self.algorithms[:i]:
                 raise ConfigError(f"algorithms names {name!r} twice")
-        for key in ("runs", "trials", "designs", "k_max", "k_train", "rank", "branches", "interp_len", "iterations"):
+        for key in ("runs", "trials", "designs", "k_max", "k_train", "rank"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
@@ -84,14 +88,8 @@ class ExperimentSpec(AlgorithmParams):
             raise ConfigError(f"pfa must be in (0, 1], got {self.pfa}")
         if self.loading < 0.0:
             raise ConfigError(f"loading must be >= 0, got {self.loading}")
-        if not 0.0 <= self.failure_budget <= 1.0:
-            raise ConfigError(f"failure_budget must be in [0, 1], got {self.failure_budget}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.sa_penalty < 0.0:
-            raise ConfigError(f"sa_penalty must be >= 0, got {self.sa_penalty}")
-        if self.sa_epsilon <= 0.0:
-            raise ConfigError(f"sa_epsilon must be > 0, got {self.sa_epsilon}")
 
     def doppler_grid(self) -> tuple:
         grid, value = [], self.doppler_min_hz

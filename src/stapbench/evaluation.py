@@ -23,7 +23,6 @@ from .linalg import NumericalError
 __all__ = [
     "CurvePoint",
     "ExperimentResult",
-    "AlgorithmParams",
     "ALGORITHMS",
     "RUNNERS",
     "sinr",
@@ -123,24 +122,15 @@ def pd_analytic(sinr_linear: float, pfa: float) -> float:
     return pfa ** (1.0 / (1.0 + sinr_linear))
 
 
-@dataclass(frozen=True)
-class AlgorithmParams:
-    """Experiment-level hyperparameters shared by the design dispatch.
-
-    ``rank`` drives the joint-optimization and branch designs; the
-    eigenvector and Krylov designs run at a data-driven rank (an
-    adapted-degrees-of-freedom budget of about one fifth of the training
-    set).
-    """
-
-    rank: int = 6
-    branches: int = 8
-    interp_len: int = 8
-    iterations: int = 5
-    sa_penalty: float = 1.0  # in units of the scene's noise power
-    sa_epsilon: float = 0.1
-    prior_velocity_fraction: float = bf.PriorPerturbation.velocity_fraction
-    prior_cnr_offset_db: float = bf.PriorPerturbation.cnr_offset_db
+# The design constants. DEFAULT_RANK is the default of the one size a study
+# sets, ExperimentSpec.rank, the D of the joint-optimization and branch
+# designs; the eigenvector and Krylov designs run at adaptive_rank instead.
+DEFAULT_RANK = 6
+ITERATIONS = 5  # of lr-jio's and lr-jidf's alternations and sa-mvdr's reweighting
+BRANCHES = 8  # lr-jidf's requested branches B, of which B' are used
+INTERP_LEN = 8  # lr-jidf's interpolator length I
+SA_PENALTY = 1.0  # sa-mvdr's l1 penalty, in units of the scene's noise power
+SA_EPSILON = 0.1  # sa-mvdr's reweighting floor
 
 
 def adaptive_rank(k_snapshots: int, m: int) -> int:
@@ -158,13 +148,14 @@ class DesignContext:
     (the true covariance, factored once) and ``prior`` (blended, not solved)
     are built once per study and shared by every context ``replace`` makes.
     ``steering`` is one steering vector (M,) or an (M, N) stack of them,
-    and ``xi_t`` its target power, a scalar or one per column."""
+    and ``xi_t`` its target power, a scalar or one per column. ``rank``
+    is the study's D (see :func:`_sizes`)."""
 
     cfg: scene.RadarConfig
     cov: scene.CovarianceSet
     steering: np.ndarray
     xi_t: float | np.ndarray
-    params: AlgorithmParams
+    rank: int
     prior: scene.CovarianceSet | None = None
 
 
@@ -177,14 +168,14 @@ class Design:
     multiplication_count: int
 
 
-def _sizes(m: int, params: AlgorithmParams) -> dict:
+def _sizes(m: int, rank: int) -> dict:
     """The sizes a design of dimension ``m`` runs at, keyed as
     :func:`multiplication_count` takes them: D = min(``rank``, M),
-    I = min(``interp_len``, M), B' the branches whose decimation pattern
-    repeats no index, and the iteration count."""
-    d = min(params.rank, m)
-    b = len(bf.decimation_pattern(m, d, params.branches))
-    return dict(d=d, b=b, i_len=min(params.interp_len, m), iterations=params.iterations)
+    I = min(``INTERP_LEN``, M), B' the ``BRANCHES`` whose decimation pattern
+    repeats no index, and ``ITERATIONS``."""
+    d = min(rank, m)
+    b = len(bf.decimation_pattern(m, d, BRANCHES))
+    return dict(d=d, b=b, i_len=min(INTERP_LEN, m), iterations=ITERATIONS)
 
 
 # Each design maps (context, estimated covariance, sizes from _sizes) to the
@@ -219,9 +210,8 @@ def _design_lr_jidf(ctx: DesignContext, r_hat, sizes):
 
 
 def _design_sa_mvdr(ctx: DesignContext, r_hat, sizes):
-    p = ctx.params
-    penalty = p.sa_penalty * ctx.cfg.noise_power
-    return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, p.sa_epsilon, sizes["iterations"])
+    penalty = SA_PENALTY * ctx.cfg.noise_power
+    return bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, SA_EPSILON, sizes["iterations"])
 
 
 def _design_ka_mvdr(ctx: DesignContext, r_hat, sizes):
@@ -255,11 +245,11 @@ def _table_entry(name: str):
 def multiplication_count(
     algorithm: str,
     m: int,
-    d: int = AlgorithmParams.rank,
-    b: int = AlgorithmParams.branches,
-    i_len: int = AlgorithmParams.interp_len,
+    d: int = DEFAULT_RANK,
+    b: int = BRANCHES,
+    i_len: int = INTERP_LEN,
     k_snapshots: int | None = None,
-    iterations: int = AlgorithmParams.iterations,
+    iterations: int = ITERATIONS,
 ) -> int:
     """Deterministic complex-multiplication count of one design.
 
@@ -321,7 +311,7 @@ def design_algorithm(name: str, ctx: DesignContext, r_hat: scene.CovarianceSet) 
     design, _ = _table_entry(name)
     s = ctx.steering
     m, k = len(s), r_hat.snapshots.shape[1]
-    sizes = _sizes(m, ctx.params)
+    sizes = _sizes(m, ctx.rank)
     if name in ("lr-evd", "lr-krylov"):
         sizes["d"] = adaptive_rank(k, m)
     chunks = [ctx] if s.ndim == 1 else [
@@ -340,14 +330,14 @@ def _make_context(cfg, target, spec) -> DesignContext:
         prior = bf.ka_prior(
             cfg, bf.PriorPerturbation(spec.prior_velocity_fraction, spec.prior_cnr_offset_db)
         )
-    return DesignContext(cfg, cov, steering, xi, spec, prior)
+    return DesignContext(cfg, cov, steering, xi, spec.rank, prior)
 
 
 # experiment kind -> name of its runner in this module. Every runner takes
 # (cfg, target, spec): the scene, the target, and an ExperimentSpec of the
 # runner's kind, validated when it was built, which supplies the grid, the run
-# counts, the design hyperparameters and the seed. The name is looked up at
-# call time, so that a wrapper installed on a runner sees every call.
+# counts, the rank and the seed. The name is looked up at call time, so that a
+# wrapper installed on a runner sees every call.
 RUNNERS = {
     "sinr-vs-snapshots": "run_sinr_vs_snapshots",
     "sinr-vs-doppler": "run_sinr_vs_doppler",
@@ -572,7 +562,7 @@ def run_complexity_sweep(cfg: scene.RadarConfig, target: scene.TargetSpec, spec)
     _require_kind(spec, "complexity")
     curves = {name: [] for name in spec.algorithms if name != "optimal"}
     for m in _ascending(spec.m_grid, int):
-        sizes = _sizes(m, spec)
+        sizes = _sizes(m, spec.rank)
         for name, points in curves.items():
             points.append(CurvePoint(m, multiplication_count(name, m, **sizes), 0.0, 1))
     return ExperimentResult(spec.kind, "multiplications", curves)

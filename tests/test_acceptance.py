@@ -276,8 +276,6 @@ def test_complexity_ordering():
         algorithms=("smi", "lr-evd", "lr-krylov", "lr-jidf", "sa-mvdr", "ka-mvdr"),
         m_grid=(32, 64, 128, 256),
         rank=6,
-        branches=8,
-        interp_len=8,
     )
     result = ev.run_complexity_sweep(CFG, TARGET, spec)
     counts = {
@@ -432,6 +430,13 @@ def test_scene_synthesis_regression():
     count = int((values > 1e-6 * values.max()).sum())
     cnr_target = CFG.noise_power * 10.0 ** (CFG.cnr_db / 10.0)
     trace_err = abs(np.trace(rc).real / CFG.size - cnr_target) / cnr_target
+    # the spectrum relative to the largest eigenvalue, at the 0.1 dB the line
+    # prints: how many lie within -15 dB, then the tail down to the first
+    # eigenvalue the count leaves out
+    rel_db = np.round(10.0 * np.log10(np.maximum(values[::-1] / values.max(), 1e-300)), 1)
+    head = int((rel_db >= -15.0).sum())
+    tail = "/".join(f"{v:.1f}" for v in rel_db[head : count + 1])
+    floor_db = 10.0 * math.log10(CFG.noise_power / values.max())
     problems = []
     if not 16 <= count <= 22:
         problems.append(f"eigencount {count} outside 19+-3")
@@ -440,6 +445,7 @@ def test_scene_synthesis_regression():
     announce(
         "scene-synthesis regression",
         not problems,
-        f"eigencount {count}, trace err {trace_err:.1e}",
+        f"eigencount {count}, trace err {trace_err:.1e}; spectrum: {head} eigenvalues within -15 dB "
+        f"of the largest, then {tail} dB; noise floor {floor_db:.1f} dB",
     )
     assert not problems, "; ".join(problems)

@@ -187,7 +187,12 @@ class TestExitCodes:
                 "snr_grid_db",
             ),
             (TOY_SCENE + "doppler_min_hz = 50\ndoppler_max_hz = -50\n", "doppler_min_hz"),
-            (TOY_SCENE.replace("lr-jio", "lr-jidf") + "branches = 0\n", "branches"),
+            (TOY_SCENE.replace("lr-jio", "lr-jidf") + "iterations = 5\n", "iterations"),
+            (TOY_SCENE.replace("lr-jio", "lr-jidf") + "branches = 8\n", "branches"),
+            (TOY_SCENE.replace("lr-jio", "lr-jidf") + "interp_len = 8\n", "interp_len"),
+            (TOY_SCENE.replace("lr-jio", "sa-mvdr") + "sa_penalty = 1.0\n", "sa_penalty"),
+            (TOY_SCENE.replace("lr-jio", "sa-mvdr") + "sa_epsilon = 0.1\n", "sa_epsilon"),
+            (TOY_SCENE + "failure_budget = 0.01\n", "failure_budget"),
             (TOY_SCENE.replace("lr-jio", "ka-mvdr") + "ka_eta = 5\n", "ka_eta"),
             (TOY_SCENE.replace("lr-jio", "ka-mvdr") + "ka_alpha = 0.5\n", "ka_alpha"),
             (TOY_SCENE + "runs = 5\n", "'runs' is set twice"),

@@ -1,8 +1,12 @@
 """Configuration parsing, validation and round-trip tests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from stapbench import scene
+from stapbench import cli, scene
+from stapbench import evaluation as ev
 from stapbench.config_io import (
     ConfigError,
     ExperimentSpec,
@@ -147,17 +151,31 @@ class TestRoundTrip:
         assert cfg2.jammers == ()
 
 
-class TestReadmeExample:
-    def test_documented_config_parses(self):
-        import re
-        from pathlib import Path
+README = Path(__file__).resolve().parents[1] / "README.md"
 
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        block = re.search(r"```ini\n(.*?)```", readme.read_text(), re.S).group(1)
-        cfg, target, spec = parse_config_text(block)
+
+class TestReadmeExample:
+    @staticmethod
+    def _ini_block():
+        return re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+
+    def test_documented_config_parses(self):
+        cfg, target, spec = parse_config_text(self._ini_block())
         assert cfg.num_sensors == 8
         assert spec.kind == "sinr-vs-snapshots"
         assert spec.k_grid == (25, 50, 100, 200, 400, 800)
+
+    def test_experiment_block_and_stated_constants_match_the_code(self):
+        # the example's [experiment] block parses alone, so it names no key
+        # the parser lacks, and every constant the README states with its
+        # value carries that value in the code
+        experiment = "[experiment]" + self._ini_block().split("[experiment]", 1)[1]
+        _, _, spec = parse_config_text(experiment)
+        assert spec.runs == 100 and spec.rank == ev.DEFAULT_RANK
+        stated = dict(re.findall(r"`([A-Z_]+) = ([0-9.]+)`", README.read_text()))
+        constants = ("ITERATIONS", "BRANCHES", "INTERP_LEN", "SA_PENALTY", "SA_EPSILON")
+        code = {name: getattr(ev, name) for name in constants} | {"FAILURE_BUDGET": cli.FAILURE_BUDGET}
+        assert {name: float(value) for name, value in stated.items()} == code
 
 
 class TestExperimentSpec:
@@ -182,8 +200,6 @@ class TestExperimentSpec:
             ("k_train", "[experiment]\nk_train = 0\n"),
             ("loading", "[experiment]\nloading = -0.01\n"),
             ("loading", "[experiment]\nloading = nan\n"),
-            ("failure_budget", "[experiment]\nfailure_budget = 1.5\n"),
-            ("failure_budget", "[experiment]\nfailure_budget = -0.1\n"),
             ("cnr_db", "cnr_db = nan\n"),
             ("prf_hz", "prf_hz = inf\n"),
             ("jnr_db", "[jammer]\nazimuth_deg = 10\njnr_db = nan\n"),
@@ -194,23 +210,16 @@ class TestExperimentSpec:
             ("k_max", "[experiment]\nk_max = 0\n"),
             ("doppler_min_hz", "[experiment]\ndoppler_min_hz = 50\ndoppler_max_hz = -50\n"),
             ("m_grid", "[experiment]\nm_grid = 0, 64\n"),
-            ("sa_epsilon", "[experiment]\nsa_epsilon = nan\n"),
             ("doppler_step_hz", "[experiment]\ndoppler_step_hz = nan\n"),
             ("doppler_max_hz", "[experiment]\ndoppler_max_hz = inf\n"),
             ("ka_alpha", "[experiment]\nka_alpha = nan\n"),
             ("prior_velocity_fraction", "[experiment]\nprior_velocity_fraction = -inf\n"),
             ("snr_grid_db", "[experiment]\nsnr_grid_db = 0, nan\n"),
             ("rank", "[experiment]\nrank = 0\n"),
-            ("branches", "[experiment]\nbranches = 0\n"),
-            ("interp_len", "[experiment]\ninterp_len = 0\n"),
-            ("iterations", "[experiment]\niterations = 0\n"),
             ("evd_selection", "[experiment]\nevd_selection = bogus\n"),
             ("ka_mode", "[experiment]\nka_mode = bogus\n"),
             ("ka_mode", "[experiment]\nka_mode = fixed_eta\n"),
             ("ka_mode", "[experiment]\nka_mode = optimal_eta\n"),
-            ("sa_penalty", "[experiment]\nsa_penalty = -1\n"),
-            ("sa_penalty", "[experiment]\nsa_penalty = none\n"),
-            ("sa_epsilon", "[experiment]\nsa_epsilon = 0\n"),
             ("ka_alpha", "[experiment]\nka_alpha = -0.5\n"),
             ("ka_eta", "[experiment]\nka_eta = 5\n"),
             ("seed", "[experiment]\nseed = -1\n"),
@@ -222,6 +231,13 @@ class TestExperimentSpec:
             ("algorithms", "[experiment]\nkind = complexity\nalgorithms = optimal\n"),
             ("algorithms", "[experiment]\nkind = complexity\nalgorithms = optimal, optimal\n"),
             ("algorithms.*'smi' twice", "[experiment]\nalgorithms = smi, smi, optimal\n"),
+            # design constants, not keys: rejected by name even at their fixed values
+            ("unknown experiment key 'iterations'", "[experiment]\niterations = 5\n"),
+            ("unknown experiment key 'branches'", "[experiment]\nbranches = 8\n"),
+            ("unknown experiment key 'interp_len'", "[experiment]\ninterp_len = 8\n"),
+            ("unknown experiment key 'sa_penalty'", "[experiment]\nsa_penalty = 1.0\n"),
+            ("unknown experiment key 'sa_epsilon'", "[experiment]\nsa_epsilon = 0.1\n"),
+            ("unknown experiment key 'failure_budget'", "[experiment]\nfailure_budget = 0.01\n"),
         ):
             with pytest.raises(ConfigError, match=key):
                 parse_config_text(text)

@@ -131,16 +131,15 @@ class TestDesignTable:
         ctx, r_hat = small_design_context
         design = ev.design_algorithm(name, ctx, r_hat)
         assert abs(design.w.conj() @ ctx.steering - 1.0) <= 1e-8
-        p = ctx.params
         sizes = {
             "lr-evd": dict(d=ev.adaptive_rank(40, 16)),
             "lr-krylov": dict(d=ev.adaptive_rank(40, 16)),
-            "lr-jio": dict(d=p.rank, iterations=p.iterations),
+            "lr-jio": dict(d=ctx.rank, iterations=ev.ITERATIONS),
             "lr-jidf": dict(
-                d=p.rank, b=len(bf.decimation_pattern(16, p.rank, p.branches)),
-                i_len=p.interp_len, iterations=p.iterations,
+                d=ctx.rank, b=len(bf.decimation_pattern(16, ctx.rank, ev.BRANCHES)),
+                i_len=ev.INTERP_LEN, iterations=ev.ITERATIONS,
             ),
-            "sa-mvdr": dict(iterations=p.iterations),
+            "sa-mvdr": dict(iterations=ev.ITERATIONS),
         }.get(name, {})
         assert design.multiplication_count == ev.multiplication_count(name, 16, k_snapshots=40, **sizes)
         _, _, spec = parse_config_text(f"[experiment]\nalgorithms = {name}\n")
@@ -149,18 +148,19 @@ class TestDesignTable:
             parse_config_text(f"[experiment]\nalgorithms = {name}-x\n")
 
     def test_sa_mvdr_count_follows_iterations(self, small_design_context):
-        # the experiment's iterations is both the reweighting budget of the
-        # design and the pass count its multiplication count charges
+        # ITERATIONS is both the reweighting budget of the design and the
+        # pass count its multiplication count charges, which is linear in it
         ctx, r_hat = small_design_context
-        designs = {}
-        for iterations in (1, 3):
-            it_ctx = replace(ctx, params=replace(ctx.params, iterations=iterations))
-            designs[iterations] = ev.design_algorithm("sa-mvdr", it_ctx, r_hat)
-            assert designs[iterations].multiplication_count == ev.multiplication_count(
-                "sa-mvdr", 16, k_snapshots=40, iterations=iterations
-            )
-        assert designs[1].multiplication_count != designs[3].multiplication_count
-        assert np.abs(designs[1].w - designs[3].w).max() > 1e-6
+        design = ev.design_algorithm("sa-mvdr", ctx, r_hat)
+        per_pass = ev.multiplication_count("sa-mvdr", 16, k_snapshots=40, iterations=1)
+        assert design.multiplication_count == ev.ITERATIONS * per_pass
+        penalty = ev.SA_PENALTY * ctx.cfg.noise_power
+        weights = {
+            it: bf.sa_mvdr_weights(r_hat, ctx.steering, penalty, ev.SA_EPSILON, it)
+            for it in (ev.ITERATIONS - 2, ev.ITERATIONS)
+        }
+        assert np.array_equal(design.w, weights[ev.ITERATIONS])
+        assert np.abs(design.w - weights[ev.ITERATIONS - 2]).max() > 1e-6
 
     def test_lr_jidf_builds_its_decimation_pattern_at_most_twice(self, small_design_context, monkeypatch):
         # once for the usable branch count and once inside jidf_design; at
@@ -181,7 +181,7 @@ class TestDesignTable:
 
     @pytest.mark.parametrize("k", (8, 40))
     def test_sa_mvdr_designs_at_the_configured_penalty(self, k, monkeypatch):
-        # one design at sa_penalty noise powers: on a covariance not yet
+        # one design at SA_PENALTY noise powers: on a covariance not yet
         # factored, the unpenalized start and one factor per reweighting pass
         cfg = scene.RadarConfig(
             num_sensors=4, num_pulses=4, cnr_db=30.0, noise_power=2.0,
@@ -189,9 +189,8 @@ class TestDesignTable:
         )
         ctx = ev._make_context(cfg, scene.TargetSpec(), ExperimentSpec())
         block = scene.draw_interference_block(ctx.cov, k, np.random.default_rng(2))
-        p = ctx.params
         expected = bf.sa_mvdr_weights(
-            scene.CovarianceSet.estimate(block, 0.01), ctx.steering, 2.0, p.sa_epsilon, p.iterations
+            scene.CovarianceSet.estimate(block, 0.01), ctx.steering, 2.0, ev.SA_EPSILON, ev.ITERATIONS
         )
         factored, real_cholesky, real_solve = [], linalg.cholesky, linalg.hpd_solve
 
@@ -208,7 +207,7 @@ class TestDesignTable:
         w = ev.design_algorithm("sa-mvdr", ctx, scene.CovarianceSet.estimate(block, 0.01)).w
         monkeypatch.undo()
         assert np.array_equal(w, expected)
-        assert len(factored) == p.iterations + 1
+        assert len(factored) == ev.ITERATIONS + 1
 
     def test_unknown_name_rejected(self, small_design_context):
         ctx, r_hat = small_design_context
@@ -281,7 +280,7 @@ class TestDesignProperties:
     def test_noise_power_scale_leaves_the_weight(self, seed):
         # noise_power c*sigma scales every covariance and the prior by c and
         # the training block by sqrt(c); loading is scaled with them, and
-        # sa-mvdr's penalty, sa_penalty noise powers, scales by itself
+        # sa-mvdr's penalty, SA_PENALTY noise powers, scales by itself
         cfg, tgt, spec, ctx, block = self._scene_and_block(seed)
         c = 100.0
         scaled_spec = replace(spec, loading=c * spec.loading)
@@ -402,11 +401,11 @@ class TestStackedDesigns:
             scene.draw_interference_block(ctx.cov, 40, np.random.default_rng(3)), spec.loading
         )
         with pytest.raises(NumericalError, match="different candidates"):
-            bf.jio_design(r_hat, stacked.steering, 16, spec.iterations)
+            bf.jio_design(r_hat, stacked.steering, 16, ev.ITERATIONS)
         out = np.full(stacked.steering.shape, np.nan, dtype=complex)
         ev._design_into(out, "lr-jio", stacked, r_hat)
         for n, s in enumerate(stacked.steering.T):
-            single = bf.jio_design(r_hat, s, 16, spec.iterations)
+            single = bf.jio_design(r_hat, s, 16, ev.ITERATIONS)
             assert np.isfinite(single).all()
             assert np.array_equal(out[:, n], single), n
 
@@ -986,7 +985,7 @@ class TestComplexitySweep:
         assert result.curves["lr-jidf"][0].value == 537_600
 
     def test_sizes_are_clamped_to_m(self):
-        # below D = rank and I = interp_len the designs run at D = I = M, and
+        # below D = rank and I = INTERP_LEN the designs run at D = I = M, and
         # so are they charged: at M = 4, lr-jidf keeps 1 branch,
         # 1 * 5 * (4*4 + 4*4^2 + 4^3 + 4^3), and lr-jio 5 * (4^2 + 4*4^2 + 4^3)
         result = complexity_sweep(("lr-jidf", "lr-jio"), m_grid=(4,))

@@ -12,7 +12,7 @@ eight algorithms, whose detector outputs are drawn jointly from one 8x8 law,
 so a change to one design's weight moves every algorithm's row; the small
 `snapshots-m64` study at `rank = 12` and at `rank = 16`, where `lr-jidf` keeps
 2 of its 8 branches and then 1, whose interpolator taps reach past the array;
-a `complexity` study at `m_grid = 4, 6, 9, 16`, below `rank` and `interp_len`,
+a `complexity` study at `m_grid = 4, 6, 9, 16`, below `rank` and `INTERP_LEN`,
 where the sweep charges D, I and B' at the sizes they clamp to and `lr-jidf`
 at fewer branches; and `--experiment KIND --seed 7` for every experiment kind,
 with `--runs 2` for the two SINR sweeps (the other kinds reject the
@@ -50,7 +50,7 @@ THREADS = ("1", "2")
 # small studies and the keys each one changes: designs that fail (no loading,
 # training sets below M = 16); every algorithm's detector output in one
 # joint draw; ranks at which M = 16 leaves lr-jidf 2 usable branches, and 1.
-# COMPLEXITY_STUDY charges every design below rank = 6 and interp_len = 8,
+# COMPLEXITY_STUDY charges every design below rank = 6 and INTERP_LEN = 8,
 # where D, I and lr-jidf's branch count B' clamp (B' = 1, 1, 2, 5); the
 # default complexity grid starts at M = 32, where none does
 SMALL_STUDIES = (
